@@ -1,16 +1,19 @@
 /**
  * @file
  * Engine micro-costs (google-benchmark): host events/sec of the
- * timing-wheel EventQueue against the priority_queue + std::function
- * engine it replaced (kept here verbatim as LegacyEventQueue, so the
- * comparison survives the old code's deletion).
+ * EventQueue against the priority_queue + std::function engine the
+ * simulator started with (kept here verbatim as LegacyEventQueue, so
+ * the comparison survives the old code's deletion).
  *
  * The churn workload is shaped like the simulator's own event mix:
  * mostly short deltas (pipeline/service-slot hops), a band of medium
  * deltas (cache latencies), a band of long deltas (DRAM service), and
- * a thin far tail that lands beyond the wheel horizon to exercise the
- * overflow heap. Both engines execute the identical deterministic
- * schedule, so items/sec is directly comparable.
+ * a thin tail thousands of cycles out. It runs at the pending depths
+ * one shard domain really holds: ~40 events (irregular-read kernels
+ * such as random and spmv) and ~2 k (transpose, the deepest e1 point).
+ * Both engines execute the identical deterministic schedule, so
+ * items/sec is directly comparable. BM_EngineEpochs adds the shape of
+ * a whole run: 24 domain queues drained one 16-cycle epoch at a time.
  */
 
 #include <benchmark/benchmark.h>
@@ -100,7 +103,7 @@ nextDelta(SplitMix64 &rng)
         return 20 + (r >> 8) % 41; // cache hit latencies
     if (pick < 98)
         return 80 + (r >> 8) % 221; // DRAM service times
-    return 5000 + (r >> 8) % 5001; // beyond the wheel horizon
+    return 5000 + (r >> 8) % 5001; // rare far tail
 }
 
 /** One self-rescheduling actor; fires `left` times, then stops. */
@@ -121,21 +124,25 @@ template <class Engine> struct Actor
     }
 };
 
-constexpr std::size_t kActors = 256;
-constexpr std::uint32_t kFiresPerActor = 2000;
+/** Events per churn run, split evenly over the depth's actors. */
+constexpr std::uint64_t kChurnEvents = 1u << 19;
 
+/** Churn at a steady pending depth of state.range(0) events. */
 template <class Engine>
 void
 BM_EngineChurn(benchmark::State &state)
 {
+    const std::size_t actors_n = static_cast<std::size_t>(state.range(0));
+    const auto fires =
+        static_cast<std::uint32_t>(kChurnEvents / actors_n);
     std::uint64_t checksum = 0;
     for (auto _ : state) {
         Engine q;
-        std::vector<Actor<Engine>> actors(kActors);
-        for (std::size_t a = 0; a < kActors; ++a) {
+        std::vector<Actor<Engine>> actors(actors_n);
+        for (std::size_t a = 0; a < actors_n; ++a) {
             actors[a].q = &q;
             actors[a].rng = SplitMix64(a + 1);
-            actors[a].left = kFiresPerActor;
+            actors[a].left = fires;
             actors[a].checksum = &checksum;
             Actor<Engine> *actor = &actors[a];
             q.scheduleAfter(nextDelta(actor->rng),
@@ -146,15 +153,71 @@ BM_EngineChurn(benchmark::State &state)
     }
     benchmark::DoNotOptimize(checksum);
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            kActors * kFiresPerActor);
+                            static_cast<std::int64_t>(actors_n * fires));
     state.SetLabel("events/sec is items_per_second");
 }
 
 BENCHMARK_TEMPLATE(BM_EngineChurn, LegacyEventQueue)
     ->Name("BM_EngineChurn/legacy")
+    ->ArgName("depth")
+    ->Arg(40)
+    ->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_EngineChurn, EventQueue)
-    ->Name("BM_EngineChurn/wheel")
+    ->Name("BM_EngineChurn/engine")
+    ->ArgName("depth")
+    ->Arg(40)
+    ->Arg(2048)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * A run's shape rather than one queue's: 24 domain queues (16 SMs, 8
+ * slice/channel pairs) of state.range(0) pending events each, drained
+ * the way the epoch leader does it — every domain up to the next
+ * 16-cycle boundary, in turn — so consecutive runUntil() calls touch
+ * different queues.
+ */
+void
+BM_EngineEpochs(benchmark::State &state)
+{
+    constexpr std::size_t kDomains = 24;
+    constexpr Cycle kEpoch = 16;
+    const std::size_t depth = static_cast<std::size_t>(state.range(0));
+    const auto fires =
+        static_cast<std::uint32_t>(kChurnEvents / (kDomains * depth));
+    std::uint64_t checksum = 0;
+    for (auto _ : state) {
+        std::vector<EventQueue> queues(kDomains);
+        std::vector<Actor<EventQueue>> actors(kDomains * depth);
+        for (std::size_t a = 0; a < actors.size(); ++a) {
+            actors[a].q = &queues[a % kDomains];
+            actors[a].rng = SplitMix64(a + 1);
+            actors[a].left = fires;
+            actors[a].checksum = &checksum;
+            Actor<EventQueue> *actor = &actors[a];
+            actor->q->scheduleAfter(nextDelta(actor->rng),
+                                    [actor] { actor->step(); });
+        }
+        for (Cycle limit = kEpoch - 1;; limit += kEpoch) {
+            bool pending = false;
+            for (EventQueue &q : queues) {
+                q.runUntil(limit);
+                pending |= !q.empty();
+            }
+            if (!pending)
+                break;
+        }
+    }
+    benchmark::DoNotOptimize(checksum);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(kDomains * depth * fires));
+}
+
+BENCHMARK(BM_EngineEpochs)
+    ->ArgName("depth")
+    ->Arg(40)
+    ->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
 /**
@@ -193,7 +256,7 @@ BENCHMARK_TEMPLATE(BM_EngineFanout, LegacyEventQueue)
     ->Name("BM_EngineFanout/legacy")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_EngineFanout, EventQueue)
-    ->Name("BM_EngineFanout/wheel")
+    ->Name("BM_EngineFanout/engine")
     ->Unit(benchmark::kMillisecond);
 
 /**

@@ -255,46 +255,32 @@ GpuSystem::globalNow() const
     return now;
 }
 
-bool
-GpuSystem::anyStagedStores() const
-{
-    for (const auto &lane : storeStage_) {
-        if (!lane.empty())
-            return true;
-    }
-    return false;
-}
-
 void
 GpuSystem::applyStagedStores()
 {
+    if (!storesStaged_)
+        return;
+    storesStaged_ = false;
     // Write-generation bumps must happen in a canonical order — two SMs
     // storing to the same sector in one epoch race otherwise — so the
     // leader commits every staged store sorted by (issue cycle, source
     // domain, lane index), identical at any --shards value.
-    struct Ref
-    {
-        Cycle cycle;
-        std::uint32_t domain;
-        std::uint32_t index;
-    };
-    std::vector<Ref> order;
     for (std::uint32_t d = 0; d < storeStage_.size(); ++d) {
         for (std::uint32_t i = 0; i < storeStage_[d].size(); ++i)
-            order.push_back(Ref{storeStage_[d][i].cycle, d, i});
+            storeOrder_.push_back(
+                StagedStoreRef{storeStage_[d][i].cycle, d, i});
     }
-    if (order.empty())
-        return;
-    std::sort(order.begin(), order.end(),
-              [](const Ref &a, const Ref &b) {
+    std::sort(storeOrder_.begin(), storeOrder_.end(),
+              [](const StagedStoreRef &a, const StagedStoreRef &b) {
                   if (a.cycle != b.cycle)
                       return a.cycle < b.cycle;
                   if (a.domain != b.domain)
                       return a.domain < b.domain;
                   return a.index < b.index;
               });
-    for (const Ref &r : order)
+    for (const StagedStoreRef &r : storeOrder_)
         onStore(storeStage_[r.domain][r.index].addr);
+    storeOrder_.clear();
     for (auto &lane : storeStage_)
         lane.clear();
 }
@@ -441,12 +427,42 @@ GpuSystem::run(const KernelTrace &trace)
 
     auto drain = [&](const char *what) {
         CC_HOST_ZONE_COUNTED("engine.drain");
+        // Pending (domain, next cycle) pairs that could run this epoch.
+        struct Candidate
+        {
+            std::uint32_t domain;
+            Cycle next;
+        };
+        std::vector<Candidate> candidates;
+        candidates.reserve(numDomains_);
         while (true) {
+            // One pass over the domains finds the earliest pending
+            // cycle and every domain whose next event lies in the same
+            // epoch (the widest possible barrier window): a new
+            // earliest in an earlier epoch shrinks the window and drops
+            // the candidates past it.
             Cycle earliest = kNever;
-            for (const auto &q : queues_)
-                earliest = std::min(earliest, q->nextAt());
+            Cycle window_end = kNever;
+            candidates.clear();
+            for (std::uint32_t d = 0; d < numDomains_; ++d) {
+                const Cycle at = queues_[d]->nextAt();
+                if (at == kNever || at > window_end)
+                    continue;
+                if (at < earliest) {
+                    earliest = at;
+                    const Cycle end = (at / epoch) * epoch + (epoch - 1);
+                    if (end < window_end) {
+                        window_end = end;
+                        std::erase_if(candidates,
+                                      [end](const Candidate &c) {
+                                          return c.next > end;
+                                      });
+                    }
+                }
+                candidates.push_back(Candidate{d, at});
+            }
             if (earliest == kNever) {
-                if (!anyStagedStores())
+                if (!storesStaged_)
                     break;
                 // Stores staged at an observer boundary with nothing
                 // left to observe them: commit and finish.
@@ -458,8 +474,8 @@ GpuSystem::run(const KernelTrace &trace)
             // skipped wholesale — clamped to the next canonical
             // boundary while stores are staged, and to any observer
             // boundary.
-            Cycle next = (earliest / epoch) * epoch + (epoch - 1);
-            if (anyStagedStores())
+            Cycle next = window_end;
+            if (storesStaged_)
                 next = std::min(next,
                                 (simNow_ / epoch) * epoch + (epoch - 1));
             const Cycle sample_at =
@@ -476,21 +492,23 @@ GpuSystem::run(const KernelTrace &trace)
 
             limit = next;
             runnable.clear();
-            for (std::uint32_t d = 0; d < numDomains_; ++d) {
-                if (queues_[d]->nextAt() <= limit)
-                    runnable.push_back(d);
+            for (const Candidate &c : candidates) {
+                if (c.next <= limit)
+                    runnable.push_back(c.domain);
             }
             pool.run(runnable.size(), epoch_task);
             for (const std::uint32_t d : runnable) {
                 if (!ok[d])
                     panic(what);
+                if (d < storeStage_.size() && !storeStage_[d].empty())
+                    storesStaged_ = true;
             }
 
             // ---- epoch barrier: leader only, all domains parked ----
             CC_HOST_ZONE("shard.barrier");
             simNow_ = limit;
-            reqXbar_->applyStaged();
-            respXbar_->applyStaged();
+            reqXbar_->applyStaged(runnable);
+            respXbar_->applyStaged(runnable);
             if ((limit + 1) % epoch == 0)
                 applyStagedStores();
             if (prof)

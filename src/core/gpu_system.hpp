@@ -286,10 +286,8 @@ class GpuSystem
      *  drained queues rest on their last executed event). */
     Cycle globalNow() const;
 
-    /** True if any SM domain has uncommitted staged stores. */
-    bool anyStagedStores() const;
-
-    /** Leader-only: commit staged stores in canonical order. */
+    /** Leader-only: commit staged stores in canonical order (a no-op
+     *  unless storesStaged_). */
     void applyStagedStores();
 
     SystemConfig config_;
@@ -314,6 +312,17 @@ class GpuSystem
     FaultIndex faultIndex_;
     std::map<Addr, std::uint64_t> writeGeneration_;
     std::vector<std::vector<StagedStore>> storeStage_; //!< per SM domain
+    /** Leader-only: some storeStage_ lane is non-empty. Set from the
+     *  lanes of the domains that just ran, so no worker writes it. */
+    bool storesStaged_ = false;
+    /** applyStagedStores scratch: (cycle, domain, lane index) refs. */
+    struct StagedStoreRef
+    {
+        Cycle cycle;
+        std::uint32_t domain;
+        std::uint32_t index;
+    };
+    std::vector<StagedStoreRef> storeOrder_;
     bool initialized_ = false;
     bool ran_ = false;
     unsigned shards_ = 1;

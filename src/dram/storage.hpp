@@ -6,6 +6,12 @@
  * chunks are actually stored, fault injection actually flips bits,
  * and decode actually runs over what is read back. A sparse page map
  * keeps multi-GiB simulated capacities cheap to host.
+ *
+ * The map is a two-level page directory: a directory indexed by
+ * address bits [21, 37) points at lazily allocated leaves of 512 page
+ * pointers (2 MiB each), so a lookup is two dependent loads and no
+ * hashing. Leaves beyond the directory's 128 GiB reach (never used by
+ * a simulated device, but legal) live in an ordered map.
  */
 
 #ifndef CACHECRAFT_DRAM_STORAGE_HPP
@@ -13,8 +19,10 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -41,7 +49,7 @@ class SparseMemory
     void flipBit(Addr addr, unsigned bit_in_byte);
 
     /** Number of materialized pages (footprint metric). */
-    std::size_t numPages() const { return pages_.size(); }
+    std::size_t numPages() const { return numPages_; }
 
     /** Page granularity of the sparse map. */
     static constexpr std::size_t kPageBytes = 4096;
@@ -49,11 +57,25 @@ class SparseMemory
   private:
     using Page = std::array<std::uint8_t, kPageBytes>;
 
+    static constexpr unsigned kPageBits = 12;
+    static constexpr unsigned kLeafBits = 9; //!< pages per leaf: 512
+    static constexpr std::size_t kLeafPages = std::size_t{1} << kLeafBits;
+    /** Leaf indices below this are directly indexed (128 GiB). */
+    static constexpr Addr kDirectLeaves = Addr{1} << 16;
+    static_assert(kPageBytes == std::size_t{1} << kPageBits);
+
+    using Leaf = std::array<std::unique_ptr<Page>, kLeafPages>;
+
+    /** The materialized page holding @p addr, or null. */
+    const Page *findPage(Addr addr) const;
+
     /** Get a page for writing, materializing it on first touch. */
-    Page &pageForWrite(Addr page_base);
+    Page &pageForWrite(Addr addr);
 
     std::uint8_t fill_;
-    std::unordered_map<Addr, Page> pages_;
+    std::size_t numPages_ = 0;
+    std::vector<std::unique_ptr<Leaf>> directory_; //!< grown on demand
+    std::map<Addr, std::unique_ptr<Leaf>> farLeaves_;
 };
 
 } // namespace cachecraft

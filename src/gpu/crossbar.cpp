@@ -85,39 +85,33 @@ Crossbar::send(unsigned port, SmallFn fn, std::uint64_t trace_id,
 }
 
 void
-Crossbar::applyStaged()
+Crossbar::applyStaged(std::span<const std::uint32_t> sources)
 {
+    for (const std::uint32_t d : sources) {
+        for (std::uint32_t i = 0; i < staged_[d].size(); ++i)
+            order_.push_back(StagedRef{staged_[d][i].sent, d, i});
+    }
+    if (order_.empty())
+        return;
     // Canonical merge: (send cycle, source domain, source seq). Within
     // one lane entries are already in send order, so the sort key is a
     // total order over all staged messages.
-    struct Ref
-    {
-        Cycle sent;
-        std::uint32_t domain;
-        std::uint32_t index;
-    };
-    std::vector<Ref> order;
-    for (std::uint32_t d = 0; d < staged_.size(); ++d) {
-        for (std::uint32_t i = 0; i < staged_[d].size(); ++i)
-            order.push_back(Ref{staged_[d][i].sent, d, i});
-    }
-    if (order.empty())
-        return;
-    std::sort(order.begin(), order.end(),
-              [](const Ref &a, const Ref &b) {
+    std::sort(order_.begin(), order_.end(),
+              [](const StagedRef &a, const StagedRef &b) {
                   if (a.sent != b.sent)
                       return a.sent < b.sent;
                   if (a.domain != b.domain)
                       return a.domain < b.domain;
                   return a.index < b.index;
               });
-    for (const Ref &r : order) {
+    for (const StagedRef &r : order_) {
         Staged &m = staged_[r.domain][r.index];
         arbitrate(m.port, m.sent, m.traceId, m.response, std::move(m.fn),
                   r.domain, r.index);
     }
-    for (auto &lane : staged_)
-        lane.clear();
+    order_.clear();
+    for (const std::uint32_t d : sources)
+        staged_[d].clear();
 }
 
 Cycle

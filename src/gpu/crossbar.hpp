@@ -29,6 +29,7 @@
 #ifndef CACHECRAFT_GPU_CROSSBAR_HPP
 #define CACHECRAFT_GPU_CROSSBAR_HPP
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,12 +77,15 @@ class Crossbar
               bool response = false);
 
     /**
-     * Router mode, leader-only: arbitrate every staged message in
-     * canonical (send cycle, source domain, source seq) order and post
-     * it to its destination domain queue. Called at every epoch
-     * barrier, while all domains are parked.
+     * Router mode, leader-only: arbitrate every message staged by the
+     * distinct domains @p sources in canonical (send cycle, source
+     * domain, source seq) order and post it to its destination domain
+     * queue. Called at every epoch barrier, while all domains are
+     * parked, with the domains that executed since the last call —
+     * the only ones that can have staged anything — so a barrier with
+     * nothing sent costs O(|sources|).
      */
-    void applyStaged();
+    void applyStaged(std::span<const std::uint32_t> sources);
 
     /** Router mode: any messages staged since the last applyStaged(). */
     bool
@@ -114,6 +118,14 @@ class Crossbar
         bool response;
     };
 
+    /** Canonical position of a staged message (see applyStaged). */
+    struct StagedRef
+    {
+        Cycle sent;
+        std::uint32_t domain;
+        std::uint32_t index;
+    };
+
     /** Arbitrate one message sent at @p sent for @p port and deliver
      *  @p fn (immediate mode: schedule; router mode via @p post). */
     void arbitrate(unsigned port, Cycle sent, std::uint64_t trace_id,
@@ -127,6 +139,7 @@ class Crossbar
     std::vector<Cycle> portFreeAt_;
     std::vector<EventQueue *> portQueues_;   //!< empty = immediate mode
     std::vector<std::vector<Staged>> staged_; //!< per source domain
+    std::vector<StagedRef> order_;            //!< applyStaged scratch
 };
 
 } // namespace cachecraft

@@ -6,35 +6,36 @@
  * them in (cycle, insertion-order) order. Determinism matters: ties
  * are broken by insertion order, never by heap internals.
  *
- * Implementation: a bucketed timing wheel. Cycles within the near
- * horizon (now .. now + kWheelSlots) land in per-cycle FIFO buckets —
- * appending to a bucket is both O(1) and exactly insertion order, so
- * near events need no explicit sequence number. Events beyond the
- * horizon go to a small overflow heap keyed on (cycle, seq) and
- * migrate into their bucket as the clock approaches; migration runs
- * on every clock advance, i.e. before any event at the new horizon
- * edge could be scheduled directly, so bucket order always equals
- * global schedule order. Callbacks are fixed-capacity SmallFn values,
- * so steady-state scheduling performs no heap allocation at all.
+ * Implementation: a 4-ary min-heap of 16-byte keys over a recycled
+ * pool of callback slots. A key packs (cycle, insertion seq, slot)
+ * into one 128-bit integer whose natural order is the execution order,
+ * so a comparison is a single wide compare. The heap is sized to what
+ * one shard domain holds (tens of events in steady state, a few
+ * thousand on write-heavy kernels), so a push or pop touches a few
+ * cache lines of keys and never moves a callback; the 64-byte SmallFn
+ * values stay put in their slot until they run. Slots are reused
+ * LIFO, so steady-state scheduling performs no heap allocation.
  *
  * Sharded runs add a second ingress: postMessage() delivers a
  * cross-domain message (a crossbar hop from another shard domain)
  * into a small inbox heap keyed by the canonical
  * (delivery cycle, send cycle, source domain, source seq) tuple.
- * Messages for cycle D execute *before* D's wheel bucket, in key
+ * Messages for cycle D execute *before* D's local events, in key
  * order — a total order independent of which thread staged what when,
  * so execution is bit-identical at any --shards value. Only the epoch
  * leader posts, and only while this queue's domain is parked at a
  * barrier, so the inbox needs no locking; deliveries must be strictly
  * in this queue's future.
+ *
+ * nextAt() is a cached exact value: schedule()/postMessage() lower it
+ * and runUntil() recomputes it on return, so the epoch leader's
+ * per-barrier poll of every domain is one load per queue.
  */
 
 #ifndef CACHECRAFT_GPU_EVENT_QUEUE_HPP
 #define CACHECRAFT_GPU_EVENT_QUEUE_HPP
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -61,18 +62,22 @@ class EventQueue
     {
         if (when < now_)
             panic("event scheduled in the past");
-        if (when - now_ < kWheelSlots) {
-            const std::size_t slot = when & kWheelMask;
-            wheel_[slot].push_back(std::move(fn));
-            occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+        if (seq_ > kMaxSeq)
+            panic("event queue sequence space exhausted");
+        std::uint64_t slot;
+        if (freeSlots_.empty()) {
+            slot = slots_.size();
+            if (slot > kSlotMask)
+                panic("more than 16M events pending in one queue");
+            slots_.push_back(std::move(fn));
         } else {
-            far_.push_back(FarEvent{when, seq_, std::move(fn)});
-            std::push_heap(far_.begin(), far_.end(), FarAfter{});
+            slot = freeSlots_.back();
+            freeSlots_.pop_back();
+            slots_[slot] = std::move(fn);
         }
+        pushLocal(Key{when} << 64 | (seq_ << kSlotBits | slot));
         ++seq_;
-        ++pending_;
-        if (pending_ > peakDepth_)
-            peakDepth_ = pending_;
+        noteScheduled(when);
     }
 
     /** Schedule @p fn @p delta cycles from now. */
@@ -85,8 +90,8 @@ class EventQueue
     /**
      * Deliver a cross-domain message: run @p fn at cycle @p when
      * (strictly after now()), ordered against other messages by the
-     * canonical (when, sent, src, seq) key and before any wheel-bucket
-     * event of cycle @p when. Leader-only; see file comment.
+     * canonical (when, sent, src, seq) key and before any local event
+     * of cycle @p when. Leader-only; see file comment.
      */
     void
     postMessage(Cycle when, Cycle sent, std::uint32_t src,
@@ -98,16 +103,14 @@ class EventQueue
         inbox_.push_back(InboxMsg{when, sent, src, seq, std::move(fn)});
         std::push_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
         ++seq_;
-        ++pending_;
-        if (pending_ > peakDepth_)
-            peakDepth_ = pending_;
+        noteScheduled(when);
     }
 
     /** True if no events are pending. */
-    bool empty() const { return pending_ == 0; }
+    bool empty() const { return size() == 0; }
 
     /** Number of pending events. */
-    std::size_t size() const { return pending_; }
+    std::size_t size() const { return local_.size() + inbox_.size(); }
 
     /**
      * Run events until the queue drains.
@@ -139,57 +142,20 @@ class EventQueue
             return true;
         std::uint64_t budget = max_events;
         while (true) {
-            // Inbox messages for this cycle run before its bucket, in
-            // canonical key order (the heap pops them sorted).
-            while (!inbox_.empty() && inbox_.front().when == now_) {
-                if (budget == 0) {
-                    ++valveTrips_;
-                    return false;
-                }
-                --budget;
-                std::pop_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
-                EventFn fn = std::move(inbox_.back().fn);
-                inbox_.pop_back();
-                ++executed_;
-                --pending_;
-                fn();
-            }
-            std::vector<EventFn> &bucket = wheel_[now_ & kWheelMask];
-            if (!bucket.empty()) {
-                // Re-reading size() each pass keeps re-entrant
-                // scheduling at now() in the same drain; moving the
-                // closure out first keeps a push_back-triggered
-                // reallocation from invalidating it.
-                std::size_t i = 0;
-                for (; i < bucket.size(); ++i) {
-                    if (budget == 0)
-                        break;
-                    --budget;
-                    EventFn fn = std::move(bucket[i]);
-                    ++executed_;
-                    --pending_;
-                    fn();
-                }
-                if (i < bucket.size()) {
-                    bucket.erase(bucket.begin(),
-                                 bucket.begin() +
-                                     static_cast<std::ptrdiff_t>(i));
-                    ++valveTrips_;
-                    return false;
-                }
-                bucket.clear();
-                const std::size_t slot = now_ & kWheelMask;
-                occupied_[slot >> 6] &=
-                    ~(std::uint64_t{1} << (slot & 63));
-            }
-            const Cycle next = nextEventCycle();
-            if (next == kNoEvent)
+            const Cycle inbox_at =
+                inbox_.empty() ? kNoEventCycle : inbox_.front().when;
+            const Cycle local_at = local_.empty()
+                                       ? kNoEventCycle
+                                       : static_cast<Cycle>(local_[0] >> 64);
+            // Inbox messages for a cycle run before its local events.
+            const Cycle next = std::min(inbox_at, local_at);
+            nextAt_ = next;
+            if (next == kNoEventCycle)
                 return true; // drained; clock stays on the last event
             if (next > limit) {
                 if (now_ < limit) {
                     CACHECRAFT_VERIFY_HOOK(onClockAdvance(now_, limit));
                     now_ = limit;
-                    migrateFar();
                 }
                 return true;
             }
@@ -197,9 +163,26 @@ class EventQueue
                 ++valveTrips_;
                 return false;
             }
-            CACHECRAFT_VERIFY_HOOK(onClockAdvance(now_, next));
-            now_ = next;
-            migrateFar();
+            --budget;
+            if (next != now_) {
+                CACHECRAFT_VERIFY_HOOK(onClockAdvance(now_, next));
+                now_ = next;
+            }
+            // Move the closure out before running it: a re-entrant
+            // schedule() may reuse its slot or grow the pool.
+            EventFn fn;
+            if (inbox_at <= local_at) {
+                std::pop_heap(inbox_.begin(), inbox_.end(), InboxAfter{});
+                fn = std::move(inbox_.back().fn);
+                inbox_.pop_back();
+            } else {
+                const auto slot =
+                    static_cast<std::uint32_t>(popLocal() & kSlotMask);
+                fn = std::move(slots_[slot]);
+                freeSlots_.push_back(slot);
+            }
+            ++executed_;
+            fn();
         }
     }
 
@@ -222,47 +205,70 @@ class EventQueue
     static constexpr Cycle kNoEventCycle = ~Cycle{0};
 
     /**
-     * Earliest pending cycle (wheel, far heap, or inbox), or
-     * kNoEventCycle when drained. The epoch leader polls this to skip
-     * idle domains and to compute the global skip-ahead target.
+     * Earliest pending cycle (local or inbox), or kNoEventCycle when
+     * drained. Exact whenever no runUntil() is executing. The epoch
+     * leader polls this to skip idle domains and to compute the
+     * global skip-ahead target.
      */
-    Cycle
-    nextAt() const
-    {
-        if (pending_ == 0)
-            return kNoEventCycle;
-        return nextEventCycle();
-    }
+    Cycle nextAt() const { return nextAt_; }
 
   private:
-    static constexpr std::size_t kWheelSlots = 4096;
-    static constexpr Cycle kWheelMask = kWheelSlots - 1;
-    static constexpr std::size_t kBitmapWords = kWheelSlots / 64;
-    static constexpr Cycle kNoEvent = ~Cycle{0};
-    static_assert((kWheelSlots & (kWheelSlots - 1)) == 0,
-                  "wheel size must be a power of two");
+    /**
+     * A pending local event: cycle in the high 64 bits, then the
+     * insertion seq, then the slot holding its callback in the low
+     * kSlotBits. Seqs are unique, so key order is (cycle, seq) order.
+     */
+    using Key = unsigned __int128;
+    static constexpr unsigned kSlotBits = 24; //!< 16 M pending events
+    static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+    static constexpr std::uint64_t kMaxSeq = ~0ull >> kSlotBits;
+    static constexpr std::size_t kArity = 4;
 
-    /** An event beyond the wheel horizon; seq orders same-cycle ties
-     *  against other far events (near events order by bucket FIFO). */
-    struct FarEvent
+    /** Insert @p key into the local heap (sift the hole up). */
+    void
+    pushLocal(Key key)
     {
-        Cycle when;
-        std::uint64_t seq;
-        EventFn fn;
-    };
-
-    /** Heap comparator: true when @p a fires after @p b, so the heap
-     *  front is the earliest (cycle, seq) pair. */
-    struct FarAfter
-    {
-        bool
-        operator()(const FarEvent &a, const FarEvent &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
+        std::size_t i = local_.size();
+        local_.push_back(key);
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / kArity;
+            if (local_[parent] < key)
+                break;
+            local_[i] = local_[parent];
+            i = parent;
         }
-    };
+        local_[i] = key;
+    }
+
+    /** Remove and return the least key (sift the hole down). */
+    Key
+    popLocal()
+    {
+        const Key top = local_[0];
+        const Key last = local_.back();
+        local_.pop_back();
+        const std::size_t n = local_.size();
+        if (n == 0)
+            return top;
+        std::size_t i = 0;
+        while (true) {
+            const std::size_t first = i * kArity + 1;
+            if (first >= n)
+                break;
+            std::size_t least = first;
+            const std::size_t end = std::min(first + kArity, n);
+            for (std::size_t c = first + 1; c < end; ++c) {
+                if (local_[c] < local_[least])
+                    least = c;
+            }
+            if (last < local_[least])
+                break;
+            local_[i] = local_[least];
+            i = least;
+        }
+        local_[i] = last;
+        return top;
+    }
 
     /** A cross-domain message awaiting delivery (see postMessage). */
     struct InboxMsg
@@ -290,60 +296,24 @@ class EventQueue
         }
     };
 
-    /** Earliest pending cycle (>= now_), or kNoEvent when drained. */
-    Cycle
-    nextEventCycle() const
-    {
-        Cycle next = kNoEvent;
-        const std::size_t start =
-            static_cast<std::size_t>(now_ & kWheelMask);
-        for (std::size_t scanned = 0; scanned < kWheelSlots;) {
-            const std::size_t slot = (start + scanned) & kWheelMask;
-            const std::uint64_t bits =
-                occupied_[slot >> 6] >> (slot & 63);
-            if (bits != 0) {
-                const std::size_t dist =
-                    scanned +
-                    static_cast<std::size_t>(std::countr_zero(bits));
-                if (dist < kWheelSlots) {
-                    next = now_ + dist;
-                    break;
-                }
-            }
-            scanned += 64 - (slot & 63);
-        }
-        if (!far_.empty() && far_.front().when < next)
-            next = far_.front().when;
-        if (!inbox_.empty() && inbox_.front().when < next)
-            next = inbox_.front().when;
-        return next;
-    }
-
-    /** Pull far events that entered the wheel horizon into their
-     *  buckets, in (cycle, seq) order. */
+    /** Depth and nextAt() bookkeeping shared by both ingresses. */
     void
-    migrateFar()
+    noteScheduled(Cycle when)
     {
-        while (!far_.empty() && far_.front().when - now_ < kWheelSlots) {
-            std::pop_heap(far_.begin(), far_.end(), FarAfter{});
-            FarEvent ev = std::move(far_.back());
-            far_.pop_back();
-            const std::size_t slot = ev.when & kWheelMask;
-            wheel_[slot].push_back(std::move(ev.fn));
-            occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-        }
+        peakDepth_ = std::max<std::uint64_t>(peakDepth_, size());
+        nextAt_ = std::min(nextAt_, when);
     }
 
     Cycle now_ = 0;
+    Cycle nextAt_ = kNoEventCycle;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
-    std::uint64_t pending_ = 0;
     std::uint64_t peakDepth_ = 0;
     std::uint64_t valveTrips_ = 0;
-    std::array<std::vector<EventFn>, kWheelSlots> wheel_;
-    std::array<std::uint64_t, kBitmapWords> occupied_{};
-    std::vector<FarEvent> far_;
-    std::vector<InboxMsg> inbox_; //!< min-heap, see InboxAfter
+    std::vector<Key> local_;                //!< 4-ary min-heap of keys
+    std::vector<EventFn> slots_;            //!< callback pool
+    std::vector<std::uint32_t> freeSlots_;  //!< LIFO free slot indices
+    std::vector<InboxMsg> inbox_;           //!< min-heap, see InboxAfter
 };
 
 } // namespace cachecraft

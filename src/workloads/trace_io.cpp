@@ -1,5 +1,6 @@
 #include "workloads/trace_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -108,7 +109,12 @@ loadTrace(std::istream &in, std::string *error)
             if (!(ls >> inst.computeCycles >> tag_tok))
                 return fail("malformed memory inst", line_no);
             if (tag_tok != "-") {
-                const int tag = std::stoi(tag_tok);
+                int tag = 0;
+                const char *end = tag_tok.data() + tag_tok.size();
+                const auto [ptr, ec] =
+                    std::from_chars(tag_tok.data(), end, tag);
+                if (ec != std::errc{} || ptr != end)
+                    return fail("malformed tag", line_no);
                 if (tag < 0 || tag > 255)
                     return fail("tag out of range", line_no);
                 inst.tagOverride = static_cast<std::int16_t>(tag);

@@ -126,6 +126,30 @@ TEST(TraceIo, UnknownDirectiveIsError)
     EXPECT_NE(error.find("bogus"), std::string::npos);
 }
 
+TEST(TraceIo, MalformedTagIsError)
+{
+    // Each of these used to escape as an uncaught std::invalid_argument
+    // or std::out_of_range from std::stoi, or parse a numeric prefix
+    // and ignore the rest of the token.
+    for (const std::string tag :
+         {"xyz", "12abc", "99999999999999999999", "0x10", "1.5"}) {
+        std::stringstream in("trace v1\nwarp\nld 0 " + tag +
+                             " 100\nend\n");
+        std::string error;
+        loadTrace(in, &error);
+        EXPECT_NE(error.find("line 3: malformed tag"), std::string::npos)
+            << tag << ": " << error;
+    }
+}
+
+TEST(TraceIo, TagOutOfRangeIsError)
+{
+    std::stringstream in("trace v1\nwarp\nld 0 256 0x0\nend\n");
+    std::string error;
+    loadTrace(in, &error);
+    EXPECT_NE(error.find("tag out of range"), std::string::npos) << error;
+}
+
 TEST(TraceIo, TooManyLanesIsError)
 {
     std::stringstream in;

@@ -10,6 +10,7 @@
  *
  *   cachecraft_hostprof --workload gemm --scheme cachecraft
  *   cachecraft_hostprof --workload random --json prof.json --svg f.svg
+ *   cachecraft_hostprof --workload random --shards 4
  *   cachecraft_hostprof --campaign bench/campaigns/ci_smoke.json \
  *       --out /tmp/prof_tree --jobs 2
  *
@@ -63,6 +64,8 @@ usage()
         "  --sms N             SM count (default 16)\n"
         "  --l2-kib N          L2 KiB per slice (default 512)\n"
         "  --mrc-kib N         MRC KiB per slice (default 16)\n"
+        "  --shards N          engine worker threads (default 1; also\n"
+        "                      applies to every campaign point)\n"
         "\n"
         "campaign mode:\n"
         "  --campaign FILE     profile a whole campaign spec instead\n"
@@ -176,6 +179,7 @@ main(int argc, char **argv)
     std::string campaign_path;
     std::string out_dir;
     unsigned jobs = 1;
+    unsigned shards = 1;
     std::string json_path;
     std::string folded_path;
     std::string svg_path;
@@ -201,12 +205,18 @@ main(int argc, char **argv)
         } else if (flag == "--footprint-mib") {
             wparams.footprintBytes =
                 std::stoull(need_value(i)) * 1024 * 1024;
+            if (wparams.footprintBytes == 0)
+                fatal("--footprint-mib must be positive");
         } else if (flag == "--warps") {
             wparams.numWarps =
                 static_cast<unsigned>(std::stoul(need_value(i)));
+            if (wparams.numWarps == 0)
+                fatal("--warps must be positive");
         } else if (flag == "--mem-insts") {
             wparams.memInstsPerWarp =
                 static_cast<unsigned>(std::stoul(need_value(i)));
+            if (wparams.memInstsPerWarp == 0)
+                fatal("--mem-insts must be positive");
         } else if (flag == "--seed") {
             wparams.seed = std::stoull(need_value(i));
         } else if (flag == "--scheme") {
@@ -237,6 +247,10 @@ main(int argc, char **argv)
             jobs = static_cast<unsigned>(std::stoul(need_value(i)));
             if (jobs == 0)
                 fatal("--jobs must be positive");
+        } else if (flag == "--shards") {
+            shards = static_cast<unsigned>(std::stoul(need_value(i)));
+            if (shards == 0)
+                fatal("--shards must be positive");
         } else if (flag == "--json") {
             json_path = need_value(i);
         } else if (flag == "--folded") {
@@ -285,6 +299,7 @@ main(int argc, char **argv)
         campaign::RunnerOptions ropts;
         ropts.outDir = out_dir;
         ropts.jobs = jobs;
+        ropts.shards = shards;
         ropts.progress = quiet ? nullptr : stderr;
 
         telemetry::HostProfiler::retain(popts);
@@ -313,6 +328,7 @@ main(int argc, char **argv)
         const auto start = std::chrono::steady_clock::now();
         {
             GpuSystem gpu(config);
+            gpu.setShards(shards);
             gpu.run(makeWorkload(workload, wparams));
             gpu.auditMemory();
         }
@@ -328,6 +344,7 @@ main(int argc, char **argv)
                        toString(config.scheme));
     }
 
+    artifact.config.emplace_back("shards", std::to_string(shards));
     artifact.snapshot = telemetry::HostProfiler::snapshot();
 
     if (!quiet) {

@@ -218,12 +218,18 @@ main(int argc, char **argv)
         } else if (flag == "--footprint-mib") {
             wparams.footprintBytes =
                 std::stoull(need_value(i)) * 1024 * 1024;
+            if (wparams.footprintBytes == 0)
+                fatal("--footprint-mib must be positive");
         } else if (flag == "--warps") {
             wparams.numWarps =
                 static_cast<unsigned>(std::stoul(need_value(i)));
+            if (wparams.numWarps == 0)
+                fatal("--warps must be positive");
         } else if (flag == "--mem-insts") {
             wparams.memInstsPerWarp =
                 static_cast<unsigned>(std::stoul(need_value(i)));
+            if (wparams.memInstsPerWarp == 0)
+                fatal("--mem-insts must be positive");
         } else if (flag == "--seed") {
             wparams.seed = std::stoull(need_value(i));
         } else if (flag == "--scheme") {
@@ -345,6 +351,11 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(trace.totalInsts()));
         return 0;
     }
+
+    // An empty kernel would "succeed" with a zero-cycle report.
+    if (trace.totalInsts() == 0)
+        fatal("the workload has no instructions to simulate (footprint "
+              "or warp count too small for this kernel?)");
 
     if (!epochs_csv_path.empty() && config.telemetry.sampleInterval == 0)
         fatal("--epochs-csv needs --sample-interval");
