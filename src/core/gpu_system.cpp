@@ -417,8 +417,14 @@ GpuSystem::run(const KernelTrace &trace)
         CC_HOST_ZONE("shard.run_epoch");
         ok[d] = queues_[d]->runUntil(limit) ? 1 : 0;
     };
+    // Records drain into the stage histograms at every barrier and
+    // before every epoch close, so epochs and the RunStats snapshot
+    // (taken after the final close) see every span so far.
+    telemetry::FlightRecorder *recorder = telemetry_->recorder();
     Cycle close_floor = 0;
-    auto close_sampler = [this, &close_floor](Cycle at) {
+    auto close_sampler = [this, recorder, &close_floor](Cycle at) {
+        if (recorder)
+            recorder->drain();
         if (sampler_ && at >= close_floor) {
             sampler_->closeEpoch(at);
             close_floor = at;
@@ -509,6 +515,8 @@ GpuSystem::run(const KernelTrace &trace)
             simNow_ = limit;
             reqXbar_->applyStaged(runnable);
             respXbar_->applyStaged(runnable);
+            if (recorder)
+                recorder->drain();
             if ((limit + 1) % epoch == 0)
                 applyStagedStores();
             if (prof)
@@ -581,12 +589,6 @@ GpuSystem::run(const KernelTrace &trace)
         slice->verifyDrained();
     close_sampler(globalNow());
 
-    if (const telemetry::TraceSink *sink = telemetry_->sink();
-        sink && sink->dropped() > 0) {
-        rs.warnings.push_back(
-            strCat("trace ring overflowed: ", sink->dropped(),
-                   " oldest events dropped (raise traceCapacity)"));
-    }
     if (const telemetry::FlightRecorder *fr = telemetry_->recorder();
         fr && fr->dropped() > 0) {
         rs.warnings.push_back(

@@ -249,7 +249,7 @@ class GpuSystem
     DramSystem &dram() { return *dram_; }
     L2Slice &slice(std::size_t i) { return *slices_[i]; }
     std::size_t numSlices() const { return slices_.size(); }
-    /** The lifecycle-trace hub (always present; may be inactive). */
+    /** The telemetry hub (always present; may be inactive). */
     telemetry::Telemetry &telemetry() { return *telemetry_; }
     const telemetry::Telemetry &telemetry() const { return *telemetry_; }
     /** The epoch sampler; null until run() with sampling enabled. */

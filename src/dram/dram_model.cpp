@@ -177,36 +177,8 @@ DramChannel::tryIssue()
         }
     }
 
-    // Queueing + service time as one span on the request's track, with
-    // the row outcome (0 hit / 1 miss-closed / 2 conflict) attached.
-    if (telemetry_ && telemetry_->tracing() && pending.req.traceId != 0)
-        telemetry_->span(telemetry::Stage::kDramService,
-                         pending.req.traceId, pending.arrival,
-                         complete_at, "row_outcome",
-                         static_cast<double>(outcome));
-
-    if (pending.req.onComplete) {
-        // The issuing scheme's per-transaction stage span, recorded
-        // just before its completion callback runs (scheduled first,
-        // so it lands first in the trace — same record order as the
-        // old callback-wrapping implementation). Trace-only events:
-        // untraced runs schedule exactly one completion event.
-        if (telemetry_ && telemetry_->tracing() &&
-            pending.req.traceId != 0 &&
-            pending.req.traceStage != DramRequest::kNoTraceStage) {
-            telemetry::Telemetry *tel = telemetry_;
-            const auto stage =
-                static_cast<telemetry::Stage>(pending.req.traceStage);
-            const std::uint64_t id = pending.req.traceId;
-            const Cycle start = pending.req.traceStart;
-            events_.schedule(complete_at,
-                             [tel, stage, id, start, complete_at] {
-                                 tel->span(stage, id, start,
-                                           complete_at);
-                             });
-        }
+    if (pending.req.onComplete)
         events_.schedule(complete_at, std::move(pending.req.onComplete));
-    }
 
     if (!queue_.empty()) {
         issueScheduled_ = true;

@@ -69,18 +69,8 @@ struct DramRequest
     bool isEcc = false;
     /** Completion callback (fired at data-available cycle). */
     SmallFn onComplete;
-    /** Lifecycle-trace track this transaction belongs to (0 = none). */
+    /** Lifecycle track this transaction belongs to (0 = none). */
     std::uint64_t traceId = 0;
-    /** No per-transaction stage span requested. */
-    static constexpr std::uint8_t kNoTraceStage = 0xFF;
-    /**
-     * telemetry::Stage (as its underlying bits) to record as a span
-     * from traceStart to the completion cycle, stamped by the issuing
-     * scheme (wrapping onComplete is impossible with fixed-capacity
-     * callbacks, so the channel records the span instead).
-     */
-    std::uint8_t traceStage = kNoTraceStage;
-    Cycle traceStart = 0;
 };
 
 /**

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "telemetry/telemetry.hpp"
-
 namespace cachecraft {
 
 std::vector<SectorRequest>
@@ -21,17 +19,6 @@ coalesce(const WarpInst &inst)
         if (!seen)
             out.push_back(SectorRequest{sector, inst.isWrite});
     }
-    return out;
-}
-
-std::vector<SectorRequest>
-coalesce(const WarpInst &inst, telemetry::Telemetry *telemetry,
-         std::uint64_t trace_id, Cycle now)
-{
-    auto out = coalesce(inst);
-    if (telemetry && trace_id != 0)
-        telemetry->instant(telemetry::Stage::kCoalesce, trace_id, now,
-                           "sectors", static_cast<double>(out.size()));
     return out;
 }
 

@@ -81,23 +81,8 @@ L2Slice::read(Addr sector_addr, ecc::MemTag expected_tag, SmallFn done,
     // chain shares an id; direct slice reads allocate a fresh one.
     if (telemetry_ && telemetry_->active() && trace_id == 0)
         trace_id = telemetry_->newId();
-    // The "l2.read" span envelopes every downstream span carrying the
-    // same id. The wrapping callback cannot hold another SmallFn
-    // inline, so the inner completion parks in the arena.
-    if (telemetry_ && telemetry_->tracing()) {
-        const Cycle start = events_.now();
-        const std::uint32_t inner =
-            arenas_->parked.acquire(std::move(done));
-        done = [this, trace_id, start, inner]() {
-            telemetry_->span(telemetry::Stage::kL2Read, trace_id, start,
-                             events_.now());
-            SmallFn parked = std::move(arenas_->parked[inner]);
-            arenas_->parked.release(inner);
-            parked();
-        };
-    }
-    // The service event likewise carries `done` by arena handle: the
-    // capture would otherwise be a SmallFn nested inside an EventFn.
+    // The service event carries `done` by arena handle: the capture
+    // would otherwise be a SmallFn nested inside an EventFn.
     const std::uint32_t handle = arenas_->parked.acquire(std::move(done));
     const Cycle slot = serviceSlot();
     if (telemetry_ && trace_id != 0) {

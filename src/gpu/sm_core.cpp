@@ -111,8 +111,7 @@ SmCore::startMemory(std::size_t w)
     const WarpInst &inst = (*warp.insts)[warp.pc];
     const bool active = telemetry_ && telemetry_->active();
     warp.traceId = active ? telemetry_->newId() : 0;
-    const auto sectors =
-        coalesce(inst, telemetry_, warp.traceId, events_.now());
+    const auto sectors = coalesce(inst);
     if (telemetry_ && !sectors.empty()) {
         if (auto *fr = telemetry_->recorder())
             fr->record(telemetry::RecordKind::kCoalesce, warp.traceId,
@@ -253,9 +252,6 @@ SmCore::sectorDone(std::size_t w, std::uint64_t id)
     if (--warp.pendingSectors > 0)
         return;
     statMemLatency.sample(events_.now() - warp.memIssuedAt);
-    if (telemetry_ && warp.traceId != 0)
-        telemetry_->span(telemetry::Stage::kMemInst, warp.traceId,
-                         warp.memIssuedAt, events_.now());
     retire(w, /* was_memory= */ true);
 }
 

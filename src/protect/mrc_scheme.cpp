@@ -107,32 +107,17 @@ void
 MrcScheme::withCheckField(Addr logical, WakeFn fn,
                           std::uint64_t trace_id)
 {
-    if (ctx_.telemetry && ctx_.telemetry->tracing() && trace_id != 0) {
-        // The probe span covers hit detection through field residency
-        // (zero-length on a hit, fetch latency on a miss). The wrapped
-        // callback cannot capture another WakeFn inline, so it parks
-        // in the wake arena and carries the 4-byte handle.
-        const Cycle start = ctx_.events->now();
-        const std::uint32_t inner =
-            ctx_.arenas->parkedWakes.acquire(std::move(fn));
-        fn = [this, trace_id, start, inner](bool resident) {
-            ctx_.telemetry->span(telemetry::Stage::kMrcProbe, trace_id,
-                                 start, ctx_.events->now(), "resident",
-                                 resident ? 1.0 : 0.0);
-            WakeFn parked = std::move(ctx_.arenas->parkedWakes[inner]);
-            ctx_.arenas->parkedWakes.release(inner);
-            parked(resident);
-        };
-    }
     const auto probe = mrc_.access(mrcAddr(logical),
                                    /* is_write= */ false);
     if (ctx_.telemetry && trace_id != 0) {
-        // The probe record carries the chunk's MRC line address so the
-        // analyzer can pair a miss with the kMrcFill that resolves it.
+        // The probe record carries the chunk's MRC line address and
+        // this slice's index so the analyzer can pair a miss with the
+        // kMrcFill that resolves it (every slice has the same lines).
         if (auto *fr = ctx_.telemetry->recorder())
             fr->record(telemetry::RecordKind::kMrcProbe, trace_id,
                        ctx_.events->now(),
-                       alignDown(mrcAddr(logical), kEccChunkBytes), 0, 0,
+                       alignDown(mrcAddr(logical), kEccChunkBytes), 0,
+                       static_cast<std::uint16_t>(ctx_.channel),
                        probe.sectorHit ? telemetry::kFlagHit : 0);
     }
     if (probe.sectorHit) {
@@ -180,13 +165,14 @@ MrcScheme::fetchChunk(Addr logical, WakeFn fn, std::uint64_t trace_id)
     issueEccTxn(
         logical, /* is_write= */ false,
         [this, logical, line, trace_id] {
-            // The fill record is keyed by MRC line address: every miss
-            // probe of this chunk (merged waiters included) resolves
-            // against it, whatever its own lifecycle id.
+            // The fill record is keyed by (slice, MRC line): every
+            // miss probe of this chunk (merged waiters included)
+            // resolves against it, whatever its own lifecycle id.
             if (ctx_.telemetry) {
                 if (auto *fr = ctx_.telemetry->recorder())
                     fr->record(telemetry::RecordKind::kMrcFill,
-                               trace_id, ctx_.events->now(), line);
+                               trace_id, ctx_.events->now(), line, 0,
+                               static_cast<std::uint16_t>(ctx_.channel));
             }
             // R1: reconstruct the whole chunk on chip; otherwise
             // retain only the 4 B field that was actually needed.

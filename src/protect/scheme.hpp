@@ -85,7 +85,7 @@ struct SchemeContext
     /** Authoritative current ECC bytes (shared across slices). */
     SparseMemory *metaShadow = nullptr;
     StatRegistry *stats = nullptr;
-    /** Lifecycle-trace hub (optional). */
+    /** Telemetry hub (optional). */
     telemetry::Telemetry *telemetry = nullptr;
     /**
      * Which chunks have injected faults (optional). Chunks the index

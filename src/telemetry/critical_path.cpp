@@ -1,6 +1,7 @@
 #include "telemetry/critical_path.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <unordered_map>
@@ -13,37 +14,17 @@ namespace cachecraft::telemetry {
 const char *
 toString(PathSegment segment)
 {
-    switch (segment) {
-      case PathSegment::kDataFetch:
-        return "data_fetch";
-      case PathSegment::kDataBankRow:
-        return "data_bank_row";
-      case PathSegment::kDataQueue:
-        return "data_queue";
-      case PathSegment::kMetaFetch:
-        return "meta_fetch";
-      case PathSegment::kMetaBankRow:
-        return "meta_bank_row";
-      case PathSegment::kMetaQueue:
-        return "meta_queue";
-      case PathSegment::kMrcWait:
-        return "mrc_wait";
-      case PathSegment::kMshrWait:
-        return "mshr_wait";
-      case PathSegment::kL2Service:
-        return "l2_service";
-      case PathSegment::kXbarBackpressure:
-        return "xbar_backpressure";
-      case PathSegment::kXbarTransit:
-        return "xbar_transit";
-      case PathSegment::kL1Service:
-        return "l1_service";
-      case PathSegment::kOther:
-        return "other";
-      case PathSegment::kCount:
-        break;
-    }
-    return "unknown";
+    static constexpr const char *kNames[] = {
+        "data_fetch",        "data_bank_row", "data_queue",
+        "meta_fetch",        "meta_bank_row", "meta_queue",
+        "mrc_wait",          "mshr_wait",     "l2_service",
+        "xbar_backpressure", "xbar_transit",  "l1_service",
+        "other"};
+    static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(PathSegment::kCount));
+    return segment < PathSegment::kCount
+               ? kNames[static_cast<std::size_t>(segment)]
+               : "unknown";
 }
 
 bool
@@ -88,7 +69,7 @@ struct Claim
     PathSegment segment = PathSegment::kOther;
 };
 
-/** Sorted MRC fill cycles per metadata line address. */
+/** Sorted MRC fill cycles per (slice, metadata line): mrcLineKey(). */
 using FillIndex = std::unordered_map<std::uint64_t, std::vector<Cycle>>;
 
 FillIndex
@@ -97,14 +78,15 @@ buildFillIndex(const std::vector<FlightRecord> &records)
     FillIndex fills;
     for (const FlightRecord &r : records) {
         if (static_cast<RecordKind>(r.kind) == RecordKind::kMrcFill)
-            fills[r.addr].push_back(r.at);
+            fills[mrcLineKey(r)].push_back(r.at);
     }
-    for (auto &[addr, cycles] : fills)
+    for (auto &[line, cycles] : fills)
         std::sort(cycles.begin(), cycles.end());
     return fills;
 }
 
-/** First fill of @p line at or after @p at; @p fallback if none. */
+/** First fill of @p line (a mrcLineKey()) at or after @p at;
+ *  @p fallback if none. */
 Cycle
 fillAfter(const FillIndex &fills, std::uint64_t line, Cycle at,
           Cycle fallback)
@@ -182,7 +164,7 @@ buildClaims(const std::vector<const FlightRecord *> &recs,
             break;
           case RecordKind::kMrcProbe:
             if (!(r.flags & kFlagHit))
-                claim(r.at, fillAfter(fills, r.addr, r.at, end),
+                claim(r.at, fillAfter(fills, mrcLineKey(r), r.at, end),
                       PathSegment::kMrcWait);
             break;
           case RecordKind::kDramXfer: {

@@ -1,5 +1,7 @@
 #include "telemetry/flight_recorder.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -11,52 +13,33 @@ namespace cachecraft::telemetry {
 const char *
 toString(RecordKind kind)
 {
-    switch (kind) {
-      case RecordKind::kCoalesce:
-        return "coalesce";
-      case RecordKind::kRequestStart:
-        return "request_start";
-      case RecordKind::kL1Hit:
-        return "l1.hit";
-      case RecordKind::kL1MshrMerge:
-        return "l1.mshr_merge";
-      case RecordKind::kL1MshrBlocked:
-        return "l1.mshr_blocked";
-      case RecordKind::kL1MshrAdmit:
-        return "l1.mshr_admit";
-      case RecordKind::kXbarHop:
-        return "xbar.hop";
-      case RecordKind::kL2Queue:
-        return "l2.queue";
-      case RecordKind::kL2Probe:
-        return "l2.probe";
-      case RecordKind::kL2MshrMerge:
-        return "l2.mshr_merge";
-      case RecordKind::kL2MshrBlocked:
-        return "l2.mshr_blocked";
-      case RecordKind::kL2MshrAdmit:
-        return "l2.mshr_admit";
-      case RecordKind::kMrcProbe:
-        return "mrc.probe";
-      case RecordKind::kMrcFill:
-        return "mrc.fill";
-      case RecordKind::kDramXfer:
-        return "dram.xfer";
-      case RecordKind::kDramDone:
-        return "dram.done";
-      case RecordKind::kDecode:
-        return "decode";
-      case RecordKind::kComplete:
-        return "complete";
-      case RecordKind::kCount:
-        break;
-    }
-    return "unknown";
+    static constexpr const char *kNames[] = {
+        "coalesce",      "request_start",   "l1.hit",
+        "l1.mshr_merge", "l1.mshr_blocked", "l1.mshr_admit",
+        "xbar.hop",      "l2.queue",        "l2.probe",
+        "l2.mshr_merge", "l2.mshr_blocked", "l2.mshr_admit",
+        "mrc.probe",     "mrc.fill",        "dram.xfer",
+        "dram.done",     "decode",          "complete"};
+    static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(RecordKind::kCount));
+    return kind < RecordKind::kCount
+               ? kNames[static_cast<std::size_t>(kind)]
+               : "unknown";
 }
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : ring_(capacity ? capacity : 1)
+FlightRecorder::FlightRecorder(std::size_t capacity, DrainFn drain)
+    : ring_(capacity ? capacity : 1), drainFn_(std::move(drain))
 {
+}
+
+void
+FlightRecorder::drainLocked()
+{
+    const std::size_t n = std::min(undrained_, count_);
+    const std::size_t first = (head_ + ring_.size() - n) % ring_.size();
+    for (std::size_t i = 0; i < n; ++i)
+        drainFn_(ring_[(first + i) % ring_.size()]);
+    undrained_ = 0;
 }
 
 std::vector<FlightRecord>

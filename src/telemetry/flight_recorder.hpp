@@ -12,18 +12,22 @@
  * (critical_path.hpp) replays offline; cachecraft_trace reads the
  * binary dump and emits human- and diff-friendly artifacts.
  *
- * Gating mirrors the trace sink: the whole record path compiles to
- * nothing under CACHECRAFT_TRACE_DISABLED, and at runtime hooks go
- * through `telemetry->recorder()` which returns nullptr unless
- * TelemetryOptions::flightRecorderEnabled is set, so a disabled
- * recorder costs one predicted branch per hook (same contract as
- * Telemetry::profiler()).
+ * The lifecycle view (lifecycle.hpp) derives the `--trace-json` spans
+ * and the per-stage latency histograms from the same records.
+ *
+ * Gating: the whole record path compiles to nothing under
+ * CACHECRAFT_TRACE_DISABLED, and at runtime hooks go through
+ * `telemetry->recorder()` which returns nullptr unless
+ * TelemetryOptions::flightRecorderEnabled (or traceEnabled) is set, so
+ * a disabled recorder costs one predicted branch per hook (same
+ * contract as Telemetry::profiler()).
  */
 
 #ifndef CACHECRAFT_TELEMETRY_FLIGHT_RECORDER_HPP
 #define CACHECRAFT_TELEMETRY_FLIGHT_RECORDER_HPP
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <mutex>
 #include <string>
@@ -48,8 +52,9 @@ enum class RecordKind : std::uint8_t
     kL2MshrMerge,   //!< merged into an in-flight L2 miss
     kL2MshrBlocked, //!< L2 MSHRs full, request parked
     kL2MshrAdmit,   //!< parked L2 request re-admitted
-    kMrcProbe,      //!< MRC metadata probe; flag kFlagHit
-    kMrcFill,       //!< MRC chunk became resident (addr = chunk line)
+    kMrcProbe,      //!< MRC metadata probe; flag kFlagHit, b = slice
+    kMrcFill,       //!< MRC chunk became resident (addr = chunk line,
+                    //!< b = slice)
     kDramXfer,      //!< DRAM txn issued; a = queue wait, b = bank/row wait
     kDramDone,      //!< DRAM txn data available at the controller
     kDecode,        //!< codec decode fired; flags = DecodeStatus
@@ -88,13 +93,33 @@ static_assert(sizeof(FlightRecord) == 32,
               "FlightRecord must stay 32 bytes (dump format v1)");
 
 /**
+ * kMrcProbe / kMrcFill: the MRC line a record names, unique across
+ * slices. The line address is channel-local (every slice has the same
+ * lines), so the slice index in `b` is part of the key.
+ */
+inline std::uint64_t
+mrcLineKey(const FlightRecord &r)
+{
+    return (std::uint64_t{r.b} << 48) | r.addr;
+}
+
+/** Largest accepted FlightRecorder capacity: 2^26 records (2 GiB). */
+inline constexpr std::size_t kMaxFlightCapacity = std::size_t{1} << 26;
+
+/**
  * Fixed-capacity ring of FlightRecords; oldest-drop overflow, counted,
- * mirroring TraceSink so overflow surfaces as a RunStats warning.
+ * so overflow surfaces as a RunStats warning.
+ *
+ * An optional drain callback sees every record exactly once, in record
+ * order: at each drain() call and, so that wrapping loses it nothing,
+ * just before the ring overwrites a record it has not seen yet.
  */
 class FlightRecorder
 {
   public:
-    explicit FlightRecorder(std::size_t capacity);
+    using DrainFn = std::function<void(const FlightRecord &)>;
+
+    explicit FlightRecorder(std::size_t capacity, DrainFn drain = {});
 
     /** Push one causal edge. Hot path: no allocation, no branches
      *  beyond the ring wrap (plus an uncontended lock — sharded
@@ -108,10 +133,13 @@ class FlightRecorder
            std::uint16_t b = 0, std::uint8_t flags = 0)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (count_ == ring_.size())
+        if (count_ == ring_.size()) {
+            if (drainFn_ && undrained_ >= count_)
+                drainLocked();
             ++dropped_;
-        else
+        } else {
             ++count_;
+        }
         FlightRecord &r = ring_[head_];
         r.id = id;
         r.at = at;
@@ -121,8 +149,19 @@ class FlightRecorder
         r.kind = static_cast<std::uint8_t>(kind);
         r.flags = flags;
         head_ = (head_ + 1) % ring_.size();
+        ++undrained_;
         if (at > lastCycle_)
             lastCycle_ = at;
+    }
+
+    /** Feed the records added since the last drain to the callback. */
+    void
+    drain()
+    {
+        if (!drainFn_)
+            return;
+        std::lock_guard<std::mutex> lock(mutex_);
+        drainLocked();
     }
 
     std::size_t size() const { return count_; }
@@ -142,12 +181,18 @@ class FlightRecorder
     void writeBinary(std::ostream &os) const;
 
   private:
+    void drainLocked();
+
     std::mutex mutex_;
     std::vector<FlightRecord> ring_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::uint64_t dropped_ = 0;
     Cycle lastCycle_ = 0;
+    DrainFn drainFn_;
+    /** Newest records the drain callback has not seen (>= count_ means
+     *  every retained one). */
+    std::size_t undrained_ = 0;
 };
 
 /** A parsed binary dump (see FlightRecorder::writeBinary). */

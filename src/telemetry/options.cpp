@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/json.hpp"
+#include "common/log.hpp"
 
 namespace cachecraft::telemetry {
 
@@ -21,14 +22,22 @@ asBool(const JsonValue &v, bool &out, std::string *error)
     return true;
 }
 
+/** A whole count in [1, @p max] (2^53: the largest a JSON number holds
+ *  exactly); @p what diagnoses a value that is no positive integer. */
 bool
 asPositiveCount(const JsonValue &v, std::uint64_t &out,
-                const char *what, std::string *error)
+                const char *what, std::string *error,
+                std::uint64_t max = std::uint64_t{1} << 53)
 {
     if (!v.isNumber() || v.asNumber() <= 0 ||
         v.asNumber() != std::floor(v.asNumber())) {
         if (error)
             *error = what;
+        return false;
+    }
+    if (v.asNumber() > static_cast<double>(max)) {
+        if (error)
+            *error = strCat("wants at most ", max);
         return false;
     }
     out = static_cast<std::uint64_t>(v.asNumber());
@@ -40,9 +49,9 @@ asPositiveCount(const JsonValue &v, std::uint64_t &out,
 std::vector<std::string>
 telemetryKnobNames()
 {
-    return {"flight_capacity", "flight_recorder", "host_profile",
+    return {"flight_capacity", "flight_recorder",  "host_profile",
             "profile",         "profile_interval", "reuse_max_assoc",
-            "reuse_profile",   "sample_interval",  "trace_capacity"};
+            "reuse_profile",   "sample_interval"};
 }
 
 bool
@@ -56,11 +65,6 @@ applyTelemetryKnob(TelemetryOptions &options, const std::string &knob,
                              error))
             return false;
         options.sampleInterval = n;
-    } else if (knob == "trace_capacity") {
-        if (!asPositiveCount(v, n, "wants a positive entry capacity",
-                             error))
-            return false;
-        options.traceCapacity = static_cast<std::size_t>(n);
     } else if (knob == "profile") {
         if (!asBool(v, b, error))
             return false;
@@ -77,7 +81,7 @@ applyTelemetryKnob(TelemetryOptions &options, const std::string &knob,
         options.flightRecorderEnabled = b;
     } else if (knob == "flight_capacity") {
         if (!asPositiveCount(v, n, "wants a positive record capacity",
-                             error))
+                             error, kMaxFlightCapacity))
             return false;
         options.flightCapacity = static_cast<std::size_t>(n);
     } else if (knob == "reuse_profile") {

@@ -1,70 +1,10 @@
 #include "telemetry/telemetry.hpp"
 
-#include "common/json.hpp"
 #include "common/log.hpp"
-#include "telemetry/flight_recorder.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/reuse_dist.hpp"
 
 namespace cachecraft::telemetry {
-
-const char *
-toString(Stage stage)
-{
-    switch (stage) {
-      case Stage::kCoalesce:
-        return "coalesce";
-      case Stage::kMemInst:
-        return "mem_inst";
-      case Stage::kL2Read:
-        return "l2.read";
-      case Stage::kMrcProbe:
-        return "mrc.probe";
-      case Stage::kDramDataRead:
-        return "dram.data.read";
-      case Stage::kDramDataWrite:
-        return "dram.data.write";
-      case Stage::kDramEccRead:
-        return "dram.ecc.read";
-      case Stage::kDramEccWrite:
-        return "dram.ecc.write";
-      case Stage::kDramService:
-        return "dram.service";
-      case Stage::kDecode:
-        return "decode";
-      case Stage::kCount:
-        break;
-    }
-    return "unknown";
-}
-
-TraceSink::TraceSink(std::size_t capacity)
-    : ring_(capacity ? capacity : 1)
-{
-}
-
-void
-TraceSink::push(const TraceEvent &ev)
-{
-    if (count_ == ring_.size())
-        ++dropped_; // overwriting the oldest retained event
-    else
-        ++count_;
-    ring_[head_] = ev;
-    head_ = (head_ + 1) % ring_.size();
-}
-
-std::vector<TraceEvent>
-TraceSink::snapshot() const
-{
-    std::vector<TraceEvent> out;
-    out.reserve(count_);
-    const std::size_t oldest =
-        (head_ + ring_.size() - count_) % ring_.size();
-    for (std::size_t i = 0; i < count_; ++i)
-        out.push_back(ring_[(oldest + i) % ring_.size()]);
-    return out;
-}
 
 namespace {
 
@@ -77,11 +17,13 @@ constexpr std::size_t kHistNumBuckets = 128;
 Telemetry::Telemetry(StatRegistry *stats, const TelemetryOptions &options)
     : options_(options)
 {
-    if (kTraceCompiledIn && options_.traceEnabled)
-        sink_ = std::make_unique<TraceSink>(options_.traceCapacity);
     if (kTraceCompiledIn && options_.profileEnabled)
         profiler_ = std::make_unique<Profiler>(stats);
-    if (kTraceCompiledIn && options_.flightRecorderEnabled)
+    if (kTraceCompiledIn && options_.traceEnabled)
+        recorder_ = std::make_unique<FlightRecorder>(
+            options_.flightCapacity,
+            [this](const FlightRecord &r) { sampleStages(r); });
+    else if (kTraceCompiledIn && options_.flightRecorderEnabled)
         recorder_ =
             std::make_unique<FlightRecorder>(options_.flightCapacity);
     if (kTraceCompiledIn && options_.reuseProfileEnabled) {
@@ -123,80 +65,20 @@ Telemetry::stageHistogram(Stage stage) const
 }
 
 void
-Telemetry::record(Stage stage, std::uint64_t id, Cycle start, Cycle end,
-                  bool is_instant, const char *arg_key, double arg_val)
+Telemetry::sampleStages(const FlightRecord &r)
 {
-    TraceEvent ev;
-    ev.stage = stage;
-    ev.id = id;
-    ev.start = start;
-    ev.end = end;
-    ev.instant = is_instant;
-    ev.argKey = arg_key;
-    ev.argVal = arg_val;
-    // Sharded runs record from several domain threads at once. The
-    // lock keeps sink ring and stage histograms coherent; the *values*
-    // that reach reports (histogram summaries, drop counts) are sums
-    // over a fixed multiset of events, so they stay bit-identical at
-    // any --shards. Sink event order is only deterministic at
-    // --shards 1, which is why trace dumps are a shards=1 artifact.
-    std::lock_guard<std::mutex> lock(recordMutex_);
-    sink_->push(ev);
-    if (!is_instant)
-        stageHist_[static_cast<std::size_t>(stage)].sample(end - start);
-}
-
-void
-Telemetry::writeChromeJson(std::ostream &os) const
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("displayTimeUnit").value("ms");
-    w.key("otherData").beginObject();
-    w.key("tool").value("cachecraft");
-    w.key("schema_version").value(kJsonSchemaVersion);
-    w.key("time_unit").value("1 simulated cycle = 1 us");
-    if (sink_)
-        w.key("dropped_events").value(sink_->dropped());
-    w.endObject();
-    w.key("traceEvents").beginArray();
-    if (sink_) {
-        auto emit_common = [&w](const TraceEvent &ev, char phase,
-                                Cycle ts) {
-            w.beginObject();
-            w.key("name").value(toString(ev.stage));
-            w.key("cat").value("lifecycle");
-            w.key("ph").value(std::string_view(&phase, 1));
-            w.key("pid").value(std::uint64_t{0});
-            w.key("tid").value(std::uint64_t{0});
-            w.key("ts").value(ts);
-            if (phase != 'e') {
-                if (phase == 'i')
-                    w.key("s").value("t");
-                if (phase != 'i' || ev.id != 0)
-                    w.key("id").value(std::to_string(ev.id));
-                if (ev.argKey) {
-                    w.key("args").beginObject();
-                    w.key(ev.argKey).value(ev.argVal);
-                    w.endObject();
-                }
-            } else {
-                w.key("id").value(std::to_string(ev.id));
-            }
-            w.endObject();
-        };
-        for (const TraceEvent &ev : sink_->snapshot()) {
-            if (ev.instant) {
-                emit_common(ev, 'i', ev.start);
-            } else {
-                emit_common(ev, 'b', ev.start);
-                emit_common(ev, 'e', ev.end);
-            }
-        }
+    // Runs under the recorder's lock (drains happen at barriers and on
+    // ring wrap, possibly from a domain thread), which keeps the
+    // builder and the histograms coherent. The values that reach
+    // reports are sums over a fixed multiset of spans, so they stay
+    // bit-identical at any --shards.
+    lifecycle_.consume(r, spanScratch_);
+    for (const LifecycleSpan &s : spanScratch_) {
+        if (!s.instant)
+            stageHist_[static_cast<std::size_t>(s.stage)].sample(
+                s.end - s.begin);
     }
-    w.endArray();
-    w.endObject();
-    os << '\n';
+    spanScratch_.clear();
 }
 
 } // namespace cachecraft::telemetry

@@ -1,24 +1,18 @@
 /**
  * @file
- * Run telemetry: memory-request lifecycle tracing.
+ * Run telemetry hub.
  *
  * A Telemetry hub is owned by each GpuSystem and handed (as a nullable
- * pointer) to every instrumented component. Components record *spans*
- * — named [start, end] cycle intervals tied to a request id — for each
- * stage of the memory-request lifecycle:
+ * pointer) to every instrumented component. It owns the optional
+ * observers — the flight recorder (the one per-request recording),
+ * the cycle-attribution profiler, the reuse-distance profiler, the
+ * host-profiler reference — and the per-stage latency histograms
+ * ("telemetry.stage.<name>"), which the lifecycle view (lifecycle.hpp)
+ * fills from the flight records when the lifecycle trace is on.
  *
- *   coalesce -> mem_inst -> l2.read -> mrc.probe -> dram.data.read
- *                                   -> dram.ecc.read -> decode
- *
- * Spans land in a fixed-capacity ring buffer (oldest events drop under
- * overflow, counted) and simultaneously feed per-stage latency
- * histograms registered with the StatRegistry, so the same
- * measurements power both the Chrome trace_event JSON export and the
- * aggregate latency quantiles in run reports.
- *
- * Gating: tracing is off unless TelemetryOptions::traceEnabled is set
- * (runtime gate — the instrumentation hooks reduce to one predicted
- * branch), and the whole span path compiles to nothing when
+ * Gating: every observer is off unless its TelemetryOptions gate is
+ * set (runtime gate — the instrumentation hooks reduce to one
+ * predicted branch), and all of them compile to nothing when
  * CACHECRAFT_TRACE_DISABLED is defined (compile-time gate).
  */
 
@@ -28,71 +22,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <ostream>
 #include <vector>
 
 #include "common/types.hpp"
 #include "stats/stats.hpp"
+#include "telemetry/lifecycle.hpp"
 #include "telemetry/profiler.hpp"
 
 namespace cachecraft::telemetry {
-
-/** Lifecycle stages of a memory request (trace span names). */
-enum class Stage : std::uint8_t
-{
-    kCoalesce,      //!< warp lanes -> unique sector requests (instant)
-    kMemInst,       //!< whole warp memory instruction
-    kL2Read,        //!< L2 slice service: probe through data return
-    kMrcProbe,      //!< metadata lookup: probe until field resident
-    kDramDataRead,  //!< DRAM data-sector read transaction
-    kDramDataWrite, //!< DRAM data-sector write transaction
-    kDramEccRead,   //!< DRAM metadata (redundancy) read transaction
-    kDramEccWrite,  //!< DRAM metadata write transaction
-    kDramService,   //!< channel queue entry -> data available
-    kDecode,        //!< codec decode/verify outcome (instant)
-    kCount,
-};
-
-/** Stable span name of a stage (also the histogram stat suffix). */
-const char *toString(Stage stage);
-
-/** One recorded trace event (a span or an instant marker). */
-struct TraceEvent
-{
-    Stage stage = Stage::kCount;
-    /** Request id grouping the spans of one lifecycle (async track). */
-    std::uint64_t id = 0;
-    Cycle start = 0;
-    Cycle end = 0;
-    bool instant = false;
-    /** Optional single argument (nullptr = none). */
-    const char *argKey = nullptr;
-    double argVal = 0.0;
-};
-
-/** Fixed-capacity ring buffer of trace events; oldest-drop overflow. */
-class TraceSink
-{
-  public:
-    explicit TraceSink(std::size_t capacity);
-
-    void push(const TraceEvent &ev);
-
-    std::size_t size() const { return count_; }
-    std::size_t capacity() const { return ring_.size(); }
-    /** Events discarded because the ring was full. */
-    std::uint64_t dropped() const { return dropped_; }
-
-    /** Retained events, oldest first. */
-    std::vector<TraceEvent> snapshot() const;
-
-  private:
-    std::vector<TraceEvent> ring_;
-    std::size_t head_ = 0;  //!< next write position
-    std::size_t count_ = 0; //!< live entries (<= capacity)
-    std::uint64_t dropped_ = 0;
-};
 
 /** Observability knobs, configured via SystemConfig::telemetry. */
 struct TelemetryOptions
@@ -102,10 +39,12 @@ struct TelemetryOptions
      * 0 disables sampling.
      */
     Cycle sampleInterval = 0;
-    /** Runtime gate for lifecycle tracing. */
+    /**
+     * Runtime gate for the lifecycle trace: turns the flight recorder
+     * on and streams its records into the telemetry.stage.*
+     * histograms (see lifecycle.hpp).
+     */
     bool traceEnabled = false;
-    /** Trace ring capacity in events. */
-    std::size_t traceCapacity = 1u << 16;
     /** Runtime gate for the cycle-attribution profiler. */
     bool profileEnabled = false;
     /**
@@ -115,7 +54,8 @@ struct TelemetryOptions
     Cycle profileInterval = 4096;
     /** Runtime gate for the binary flight recorder. */
     bool flightRecorderEnabled = false;
-    /** Flight-recorder ring capacity in 32-byte records. */
+    /** Flight-recorder ring capacity in 32-byte records (at most
+     *  kMaxFlightCapacity). */
     std::size_t flightCapacity = 1u << 20;
     /** Runtime gate for one-pass reuse-distance profiling. */
     bool reuseProfileEnabled = false;
@@ -142,7 +82,6 @@ inline constexpr bool kTraceCompiledIn = false;
 inline constexpr bool kTraceCompiledIn = true;
 #endif
 
-class FlightRecorder;
 class ReuseProfiler;
 
 /** Per-system telemetry hub. See file comment. */
@@ -154,29 +93,16 @@ class Telemetry
      *              with (under "telemetry.stage.<name>"); may be null.
      */
     Telemetry(StatRegistry *stats, const TelemetryOptions &options);
-    ~Telemetry(); // out-of-line: FlightRecorder is incomplete here
+    ~Telemetry(); // out-of-line: ReuseProfiler is incomplete here
 
     const TelemetryOptions &options() const { return options_; }
 
-    /** True when spans are being recorded (both gates open). */
-    bool
-    tracing() const
-    {
-        return kTraceCompiledIn && sink_ != nullptr;
-    }
-
     /**
-     * True when any request-scoped capture is live (trace spans or
-     * flight records), i.e. when components should allocate and
-     * thread per-request ids.
+     * True when request-scoped capture is live (the flight recorder
+     * runs), i.e. when components should allocate and thread
+     * per-request ids.
      */
-    bool
-    active() const
-    {
-        if constexpr (!kTraceCompiledIn)
-            return false;
-        return sink_ != nullptr || recorder_ != nullptr;
-    }
+    bool active() const { return recorder() != nullptr; }
 
     /** Allocate a fresh request id (never 0; thread-safe — sharded
      *  domains mint ids concurrently, and ids only need uniqueness). */
@@ -186,33 +112,8 @@ class Telemetry
         return lastId_.fetch_add(1, std::memory_order_relaxed) + 1;
     }
 
-    /** Record a completed span and feed its stage histogram. */
-    void
-    span(Stage stage, std::uint64_t id, Cycle start, Cycle end,
-         const char *arg_key = nullptr, double arg_val = 0.0)
-    {
-        if constexpr (!kTraceCompiledIn)
-            return;
-        if (sink_ == nullptr)
-            return;
-        record(stage, id, start, end, false, arg_key, arg_val);
-    }
-
-    /** Record an instant marker (no duration, no histogram sample). */
-    void
-    instant(Stage stage, std::uint64_t id, Cycle at,
-            const char *arg_key = nullptr, double arg_val = 0.0)
-    {
-        if constexpr (!kTraceCompiledIn)
-            return;
-        if (sink_ == nullptr)
-            return;
-        record(stage, id, at, at, true, arg_key, arg_val);
-    }
-
+    /** Filled from the flight records as the recorder drains. */
     const HistogramStat &stageHistogram(Stage stage) const;
-
-    const TraceSink *sink() const { return sink_.get(); }
 
     /**
      * The cycle-attribution profiler, or nullptr when profiling is off
@@ -254,25 +155,17 @@ class Telemetry
         return reuse_.get();
     }
 
-    /**
-     * Emit everything retained in the ring as Chrome trace_event JSON
-     * (async "b"/"e" pairs per span, "i" for instants), loadable in
-     * chrome://tracing and Perfetto. One simulated cycle maps to one
-     * microsecond of trace time.
-     */
-    void writeChromeJson(std::ostream &os) const;
-
   private:
-    void record(Stage stage, std::uint64_t id, Cycle start, Cycle end,
-                bool instant, const char *arg_key, double arg_val);
+    void sampleStages(const FlightRecord &r);
 
     TelemetryOptions options_;
-    std::unique_ptr<TraceSink> sink_;
     std::unique_ptr<Profiler> profiler_;
     std::unique_ptr<FlightRecorder> recorder_;
     std::unique_ptr<ReuseProfiler> reuse_;
     std::vector<HistogramStat> stageHist_;
-    std::mutex recordMutex_;
+    /** Streaming lifecycle view (guarded by the recorder's lock). */
+    LifecycleBuilder lifecycle_;
+    std::vector<LifecycleSpan> spanScratch_;
     std::atomic<std::uint64_t> lastId_{0};
     /** True when this hub holds one HostProfiler reference. */
     bool hostRetained_ = false;

@@ -87,6 +87,23 @@ TEST(CriticalPath, MrcMissWaitsUntilTheFill)
     EXPECT_EQ(segmentSum(p), p.latency());
 }
 
+TEST(CriticalPath, MrcMissWaitsForItsOwnSlicesFill)
+{
+    // MRC line addresses are channel-local, so slices 0 and 1 share
+    // line 0x1000. Slice 0's earlier fill must not end slice 1's wait.
+    const std::vector<FlightRecord> records{
+        rec(RecordKind::kRequestStart, 1, 100, 0x40),
+        rec(RecordKind::kMrcProbe, 1, 110, 0x1000, 0, /*slice=*/1),
+        rec(RecordKind::kMrcFill, 2, 130, 0x1000, 0, /*slice=*/0),
+        rec(RecordKind::kMrcFill, 3, 170, 0x1000, 0, /*slice=*/1),
+        rec(RecordKind::kComplete, 1, 200, 0x40),
+    };
+    const auto paths = attributeRequests(records);
+    ASSERT_EQ(paths.size(), 1u);
+    EXPECT_EQ(segCycles(paths[0], PathSegment::kMrcWait), 60u);
+    EXPECT_EQ(segmentSum(paths[0]), paths[0].latency());
+}
+
 TEST(CriticalPath, MrcHitClaimsNothing)
 {
     const std::vector<FlightRecord> records{

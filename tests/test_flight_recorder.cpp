@@ -1,15 +1,18 @@
 /**
  * @file
  * Tests for the binary flight recorder: ring mechanics (oldest-drop
- * overflow with exact accounting), snapshot ordering, and the binary
+ * overflow with exact accounting, the drain callback seeing every
+ * record once), snapshot ordering, and the binary
  * dump format's round-trip and rejection behavior.
  */
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "telemetry/flight_recorder.hpp"
 
@@ -69,6 +72,34 @@ TEST(FlightRecorder, OverflowDropsOldestAndCounts)
         EXPECT_EQ(records[i].id, 7u + i);
         EXPECT_EQ(records[i].at, (7u + i) * 10);
     }
+}
+
+TEST(FlightRecorder, DrainSeesEveryRecordOnceThroughWraps)
+{
+    std::vector<std::uint64_t> seen;
+    FlightRecorder fr(4, [&seen](const FlightRecord &r) {
+        seen.push_back(r.id);
+    });
+    for (std::uint64_t i = 1; i <= 3; ++i)
+        fr.record(RecordKind::kRequestStart, i, i * 10);
+    // Below capacity nothing drops, and nothing drains until asked.
+    EXPECT_EQ(fr.size(), 3u);
+    EXPECT_EQ(fr.dropped(), 0u);
+    EXPECT_TRUE(seen.empty());
+    fr.drain();
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
+
+    // Wrapping the ring twice over: each record reaches the callback
+    // before it is overwritten, once, in record order.
+    for (std::uint64_t i = 4; i <= 12; ++i)
+        fr.record(RecordKind::kRequestStart, i, i * 10);
+    fr.drain();
+    fr.drain();
+    std::vector<std::uint64_t> all(12);
+    std::iota(all.begin(), all.end(), std::uint64_t{1});
+    EXPECT_EQ(seen, all);
+    EXPECT_EQ(fr.dropped(), 8u);
+    EXPECT_EQ(fr.size(), 4u);
 }
 
 TEST(FlightRecorder, LastCycleTracksMaximum)

@@ -54,9 +54,16 @@ struct Fingerprint
 };
 
 Fingerprint
-runFingerprint(const verify::FuzzCase &c, unsigned shards)
+runFingerprint(const verify::FuzzCase &c, unsigned shards,
+               bool traced = false)
 {
-    const SystemConfig cfg = c.toConfig();
+    SystemConfig cfg = c.toConfig();
+    if (traced) {
+        // A tiny ring: the stage histograms drain it on wrap, from
+        // whichever domain thread records, as well as at barriers.
+        cfg.telemetry.traceEnabled = true;
+        cfg.telemetry.flightCapacity = 64;
+    }
     const KernelTrace trace = c.toTrace();
     GpuSystem gpu(cfg);
     gpu.setShards(shards);
@@ -113,6 +120,33 @@ TEST(ShardedEngine, FingerprintIsIdenticalAcross512SeededRuns)
             const Fingerprint serial = runFingerprint(c, 1);
             for (const unsigned shards : kShardCounts) {
                 const Fingerprint sharded = runFingerprint(c, shards);
+                ASSERT_EQ(serial, sharded)
+                    << "seed=" << seed << " scheme=" << toString(scheme)
+                    << " shards=" << shards << ": "
+                    << describeMismatch(serial, sharded);
+            }
+        }
+    }
+}
+
+// The lifecycle view streams telemetry.stage.* from the flight
+// records, which sharded domains push concurrently; the histogram
+// values are sums over a fixed multiset of spans, so every stat —
+// stage histograms included — stays bit-identical across shards.
+TEST(ShardedEngine, TracedStageHistogramsAreShardInvariant)
+{
+    if (!telemetry::kTraceCompiledIn)
+        GTEST_SKIP() << "tracing compiled out";
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        for (const SchemeKind scheme :
+             {SchemeKind::kInlineNaive, SchemeKind::kCacheCraft}) {
+            verify::FuzzCase c = verify::generateCase(seed, scheme);
+            const Fingerprint serial = runFingerprint(c, 1, true);
+            EXPECT_GT(serial.all.at("telemetry.stage.l2.read.count"), 0)
+                << "seed=" << seed;
+            for (const unsigned shards : {2u, 3u}) {
+                const Fingerprint sharded =
+                    runFingerprint(c, shards, true);
                 ASSERT_EQ(serial, sharded)
                     << "seed=" << seed << " scheme=" << toString(scheme)
                     << " shards=" << shards << ": "

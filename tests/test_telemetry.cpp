@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the run-telemetry subsystem: JSON utilities, the trace
- * ring, the epoch-delta sampler (telescoping invariant), and a full
- * traced GpuSystem run whose artifacts must be valid, well-nested
- * JSON.
+ * Tests for the run-telemetry subsystem: JSON utilities, the hub's
+ * stage histograms, the epoch-delta sampler (telescoping invariant),
+ * and a full traced GpuSystem run whose artifacts must be valid,
+ * well-nested JSON.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "core/cachecraft.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/flight_recorder.hpp"
+#include "telemetry/lifecycle.hpp"
 
 namespace cachecraft {
 namespace {
@@ -88,59 +89,29 @@ TEST(Json, WriterEmitsValidNestedDocument)
 }
 
 // --------------------------------------------------------------------
-// Trace ring
-// --------------------------------------------------------------------
-
-telemetry::TraceEvent
-eventAt(Cycle start)
-{
-    telemetry::TraceEvent ev;
-    ev.stage = telemetry::Stage::kL2Read;
-    ev.id = 1;
-    ev.start = start;
-    ev.end = start + 1;
-    return ev;
-}
-
-TEST(TraceSink, KeepsNewestAndCountsDropped)
-{
-    telemetry::TraceSink sink(4);
-    for (Cycle c = 0; c < 10; ++c)
-        sink.push(eventAt(c));
-
-    EXPECT_EQ(sink.size(), 4u);
-    EXPECT_EQ(sink.capacity(), 4u);
-    EXPECT_EQ(sink.dropped(), 6u);
-
-    // snapshot() returns the retained (newest) events, oldest first.
-    const auto events = sink.snapshot();
-    ASSERT_EQ(events.size(), 4u);
-    for (std::size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(events[i].start, 6u + i);
-}
-
-TEST(TraceSink, NoDropsBelowCapacity)
-{
-    telemetry::TraceSink sink(8);
-    for (Cycle c = 0; c < 5; ++c)
-        sink.push(eventAt(c));
-    EXPECT_EQ(sink.size(), 5u);
-    EXPECT_EQ(sink.dropped(), 0u);
-}
-
-// --------------------------------------------------------------------
 // Telemetry hub
 // --------------------------------------------------------------------
+
+telemetry::FlightRecord
+record(telemetry::RecordKind kind, std::uint64_t id, Cycle at,
+       std::uint8_t flags = 0)
+{
+    telemetry::FlightRecord r;
+    r.kind = static_cast<std::uint8_t>(kind);
+    r.id = id;
+    r.at = at;
+    r.flags = flags;
+    return r;
+}
 
 TEST(Telemetry, RuntimeGateOffRecordsNothing)
 {
     StatRegistry stats;
-    telemetry::TelemetryOptions opts; // traceEnabled = false
+    telemetry::TelemetryOptions opts; // every gate off
     telemetry::Telemetry tel(&stats, opts);
 
-    EXPECT_FALSE(tel.tracing());
-    tel.span(telemetry::Stage::kL2Read, tel.newId(), 0, 10);
-    EXPECT_EQ(tel.sink(), nullptr);
+    EXPECT_FALSE(tel.active());
+    EXPECT_EQ(tel.recorder(), nullptr);
     EXPECT_EQ(tel.stageHistogram(telemetry::Stage::kL2Read).count(), 0u);
 }
 
@@ -152,22 +123,35 @@ TEST(Telemetry, SpansFeedRingAndHistogram)
     StatRegistry stats;
     telemetry::TelemetryOptions opts;
     opts.traceEnabled = true;
-    opts.traceCapacity = 16;
+    opts.flightCapacity = 16;
     telemetry::Telemetry tel(&stats, opts);
 
-    ASSERT_TRUE(tel.tracing());
+    // The lifecycle trace runs on the flight recorder.
+    ASSERT_TRUE(tel.active());
+    telemetry::FlightRecorder *fr = tel.recorder();
+    ASSERT_NE(fr, nullptr);
     const std::uint64_t id = tel.newId();
     EXPECT_NE(id, 0u);
-    tel.span(telemetry::Stage::kL2Read, id, 100, 140);
-    tel.instant(telemetry::Stage::kDecode, id, 140, "status", 0.0);
+    using telemetry::RecordKind;
+    for (const telemetry::FlightRecord &r :
+         {record(RecordKind::kL2Queue, id, 100),
+          record(RecordKind::kXbarHop, id, 140, telemetry::kFlagResponse),
+          record(RecordKind::kDecode, id, 140)})
+        fr->record(static_cast<RecordKind>(r.kind), r.id, r.at, r.addr,
+                   r.a, r.b, r.flags);
 
-    ASSERT_NE(tel.sink(), nullptr);
-    EXPECT_EQ(tel.sink()->size(), 2u);
+    EXPECT_EQ(fr->size(), 3u);
+    // Nothing is sampled until the records drain.
+    EXPECT_EQ(tel.stageHistogram(telemetry::Stage::kL2Read).count(), 0u);
+    fr->drain();
     // Spans sample the per-stage latency histogram; instants do not.
     EXPECT_EQ(tel.stageHistogram(telemetry::Stage::kL2Read).count(), 1u);
     EXPECT_DOUBLE_EQ(
         tel.stageHistogram(telemetry::Stage::kL2Read).mean(), 40.0);
     EXPECT_EQ(tel.stageHistogram(telemetry::Stage::kDecode).count(), 0u);
+    // A second drain sees no record twice.
+    fr->drain();
+    EXPECT_EQ(tel.stageHistogram(telemetry::Stage::kL2Read).count(), 1u);
     // The histograms are registered with the provided registry.
     EXPECT_NE(stats.histogram("telemetry.stage.l2.read"), nullptr);
 }
@@ -281,7 +265,7 @@ tracedConfig()
     cfg.dram.channelCapacity = 64 * 1024 * 1024;
     cfg.l2.cache.sizeBytes = 64 * 1024;
     cfg.telemetry.traceEnabled = true;
-    cfg.telemetry.traceCapacity = 1u << 20; // big enough: no drops
+    cfg.telemetry.flightCapacity = 1u << 20; // big enough: no drops
     cfg.telemetry.sampleInterval = 2000;
     return cfg;
 }
@@ -325,12 +309,13 @@ countOccurrences(const std::string &hay, const std::string &needle)
 
 TEST_F(TracedRun, ChromeTraceIsValidAndBalanced)
 {
-    ASSERT_NE(gpu_->telemetry().sink(), nullptr);
-    ASSERT_EQ(gpu_->telemetry().sink()->dropped(), 0u)
-        << "raise traceCapacity: nesting checks need the full trace";
+    const telemetry::FlightRecorder *fr = gpu_->telemetry().recorder();
+    ASSERT_NE(fr, nullptr);
+    ASSERT_EQ(fr->dropped(), 0u)
+        << "raise flightCapacity: nesting checks need the full trace";
 
     std::ostringstream os;
-    gpu_->telemetry().writeChromeJson(os);
+    telemetry::writeLifecycleJson(os, fr->snapshot(), fr->dropped());
     const std::string json = os.str();
 
     std::string err;
@@ -342,35 +327,39 @@ TEST_F(TracedRun, ChromeTraceIsValidAndBalanced)
     EXPECT_GT(begins, 0u);
     EXPECT_EQ(begins, ends);
     EXPECT_GT(countOccurrences(json, "\"ph\":\"i\""), 0u);
-    EXPECT_NE(json.find("\"l2.read\""), std::string::npos);
-    EXPECT_NE(json.find("\"dram.service\""), std::string::npos);
+    for (const char *name : {"\"coalesce\"", "\"mem_inst\"",
+                             "\"l2.read\"", "\"mrc.probe\"",
+                             "\"dram.data.read\"", "\"dram.ecc.read\"",
+                             "\"dram.service\"", "\"decode\""})
+        EXPECT_NE(json.find(name), std::string::npos) << name;
 }
 
 TEST_F(TracedRun, LifecycleSpansNestInsideL2Envelope)
 {
-    const auto events = gpu_->telemetry().sink()->snapshot();
-    ASSERT_FALSE(events.empty());
+    const auto spans =
+        telemetry::lifecycleSpans(gpu_->telemetry().recorder()->snapshot());
+    ASSERT_FALSE(spans.empty());
 
     // Collect the l2.read envelope for every traced L2 request id.
     std::map<std::uint64_t, std::pair<Cycle, Cycle>> envelope;
-    for (const auto &ev : events)
-        if (ev.stage == telemetry::Stage::kL2Read)
-            envelope[ev.id] = {ev.start, ev.end};
+    for (const auto &s : spans)
+        if (s.stage == telemetry::Stage::kL2Read)
+            envelope[s.id] = {s.begin, s.end};
     ASSERT_FALSE(envelope.empty());
 
     // Every downstream span sharing an id (MRC probe, DRAM txns,
     // decode) must fit inside that id's l2.read envelope.
     std::size_t nested = 0;
-    for (const auto &ev : events) {
-        if (ev.stage == telemetry::Stage::kL2Read)
+    for (const auto &s : spans) {
+        if (s.stage == telemetry::Stage::kL2Read)
             continue;
-        const auto it = envelope.find(ev.id);
+        const auto it = envelope.find(s.id);
         if (it == envelope.end())
             continue; // prefetch / SM-track event: no envelope
-        EXPECT_GE(ev.start, it->second.first)
-            << toString(ev.stage) << " id " << ev.id;
-        EXPECT_LE(ev.end, it->second.second)
-            << toString(ev.stage) << " id " << ev.id;
+        EXPECT_GE(s.begin, it->second.first)
+            << toString(s.stage) << " id " << s.id;
+        EXPECT_LE(s.end, it->second.second)
+            << toString(s.stage) << " id " << s.id;
         ++nested;
     }
     EXPECT_GT(nested, 0u);
@@ -378,14 +367,40 @@ TEST_F(TracedRun, LifecycleSpansNestInsideL2Envelope)
 
 TEST_F(TracedRun, StageHistogramsPopulated)
 {
-    const auto &h =
+    const auto &l2 =
         gpu_->telemetry().stageHistogram(telemetry::Stage::kL2Read);
-    EXPECT_GT(h.count(), 0u);
-    EXPECT_GT(h.quantile(0.99), 0.0);
-    EXPECT_GT(gpu_->telemetry()
-                  .stageHistogram(telemetry::Stage::kDramService)
-                  .count(),
-              0u);
+    EXPECT_GT(l2.quantile(0.99), 0.0);
+    // Pinned: any drift in a pairing rule (lifecycle.hpp) shows here.
+    EXPECT_EQ(l2.count(), 8192u);
+    EXPECT_DOUBLE_EQ(l2.mean(), 197.6953125);
+    const auto &dram =
+        gpu_->telemetry().stageHistogram(telemetry::Stage::kDramService);
+    EXPECT_EQ(dram.count(), 13824u);
+    EXPECT_DOUBLE_EQ(dram.mean(), 828.94791666666663);
+}
+
+TEST_F(TracedRun, StreamingAndBatchTotalsAgree)
+{
+    // The same span definition, run live over the draining ring and
+    // afterwards over the retained records, yields the same totals.
+    const telemetry::FlightRecorder *fr = gpu_->telemetry().recorder();
+    ASSERT_EQ(fr->dropped(), 0u);
+    std::map<telemetry::Stage, std::pair<std::uint64_t, std::uint64_t>>
+        batch;
+    for (const auto &s : telemetry::lifecycleSpans(fr->snapshot())) {
+        if (s.instant)
+            continue;
+        batch[s.stage].first += 1;
+        batch[s.stage].second += s.end - s.begin;
+    }
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(telemetry::Stage::kCount); ++i) {
+        const auto stage = static_cast<telemetry::Stage>(i);
+        const auto &h = gpu_->telemetry().stageHistogram(stage);
+        const auto [count, sum] = batch[stage];
+        EXPECT_EQ(h.count(), count) << toString(stage);
+        EXPECT_EQ(h.sum(), static_cast<double>(sum)) << toString(stage);
+    }
 }
 
 TEST_F(TracedRun, SamplerSumsMatchLiveRegistry)
@@ -467,18 +482,40 @@ TEST(RunWarnings, TraceRingOverflowIsReported)
     if (!telemetry::kTraceCompiledIn)
         GTEST_SKIP() << "tracing compiled out";
 
-    // A deliberately tiny ring must overflow and surface a warning in
-    // RunStats (and from there the JSON report's warnings array).
+    // A traced run on a deliberately tiny ring must overflow and
+    // surface a warning in RunStats (and from there the JSON report's
+    // warnings array) — while the stage histograms, which drain the
+    // ring before it wraps, still cover the whole run.
     SystemConfig cfg = tracedConfig();
-    cfg.telemetry.traceCapacity = 8;
+    cfg.telemetry.flightCapacity = 8;
     GpuSystem gpu(cfg);
     const RunStats rs = gpu.run(
         makeWorkload(WorkloadKind::kStreaming, tinyWorkload()));
+    GpuSystem full(tracedConfig());
+    full.run(makeWorkload(WorkloadKind::kStreaming, tinyWorkload()));
+
+    const telemetry::FlightRecorder *fr = gpu.telemetry().recorder();
+    ASSERT_NE(fr, nullptr);
+    EXPECT_EQ(fr->size(), 8u);
+    EXPECT_GT(fr->dropped(), 0u);
+    for (std::size_t i = 0;
+         i < static_cast<std::size_t>(telemetry::Stage::kCount); ++i) {
+        const auto stage = static_cast<telemetry::Stage>(i);
+        const auto &tiny = gpu.telemetry().stageHistogram(stage);
+        const auto &big = full.telemetry().stageHistogram(stage);
+        EXPECT_EQ(tiny.count(), big.count()) << toString(stage);
+        EXPECT_EQ(tiny.sum(), big.sum()) << toString(stage);
+        EXPECT_EQ(tiny.buckets(), big.buckets()) << toString(stage);
+    }
+    EXPECT_GT(gpu.telemetry()
+                  .stageHistogram(telemetry::Stage::kL2Read)
+                  .count(),
+              0u);
 
     ASSERT_FALSE(rs.warnings.empty());
     bool found = false;
     for (const std::string &w : rs.warnings)
-        found = found || w.find("trace ring overflowed") !=
+        found = found || w.find("flight ring overflowed") !=
                              std::string::npos;
     EXPECT_TRUE(found);
 
@@ -499,7 +536,7 @@ TEST(RunWarnings, FlightRingOverflowIsReported)
     if (!telemetry::kTraceCompiledIn)
         GTEST_SKIP() << "tracing compiled out";
 
-    // Same contract as the trace ring: a too-small flight ring must
+    // Same contract without the lifecycle view: a too-small ring must
     // overflow, count the drops exactly, and surface a warning that
     // round-trips into the JSON report — alongside the critical-path
     // section the recorder feeds.
@@ -616,7 +653,8 @@ TEST(FlightRecorderOverhead, RecorderOnDoesNotChangeTiming)
 TEST(TracedOverhead, TracingOffMatchesBaselineCycles)
 {
     // The runtime gate must not change simulated behaviour: a traced
-    // run and an untraced run of the same workload agree exactly.
+    // run and an untraced run of the same workload agree exactly, down
+    // to the number of events executed (tracing schedules none).
     SystemConfig off = tracedConfig();
     off.telemetry.traceEnabled = false;
     off.telemetry.sampleInterval = 0;
@@ -624,7 +662,11 @@ TEST(TracedOverhead, TracingOffMatchesBaselineCycles)
     GpuSystem b(off);
     const auto trace =
         makeWorkload(WorkloadKind::kStreaming, tinyWorkload());
-    EXPECT_EQ(a.run(trace).cycles, b.run(trace).cycles);
+    const RunStats ra = a.run(trace);
+    const RunStats rb = b.run(trace);
+    EXPECT_EQ(ra.cycles, rb.cycles);
+    EXPECT_EQ(ra.simThroughput.eventsExecuted,
+              rb.simThroughput.eventsExecuted);
 }
 
 // --------------------------------------------------------------------

@@ -27,12 +27,12 @@ TEST(TelemetryKnobs, NamesAreSortedAndComplete)
     for (const char *knob :
          {"flight_capacity", "flight_recorder", "host_profile",
           "profile", "profile_interval", "reuse_max_assoc",
-          "reuse_profile", "sample_interval", "trace_capacity"}) {
+          "reuse_profile", "sample_interval"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), knob),
                   names.end())
             << knob;
     }
-    EXPECT_EQ(names.size(), 9u);
+    EXPECT_EQ(names.size(), 8u);
 }
 
 TEST(TelemetryKnobs, BooleanGatesRoundTrip)
@@ -76,10 +76,6 @@ TEST(TelemetryKnobs, CountKnobsRoundTrip)
         << error;
     EXPECT_EQ(options.sampleInterval, 2048u);
 
-    ASSERT_TRUE(applyTelemetryKnob(options, "trace_capacity",
-                                   JsonValue(512.0), &error));
-    EXPECT_EQ(options.traceCapacity, 512u);
-
     ASSERT_TRUE(applyTelemetryKnob(options, "flight_capacity",
                                    JsonValue(4096.0), &error));
     EXPECT_EQ(options.flightCapacity, 4096u);
@@ -112,7 +108,6 @@ TEST(TelemetryKnobs, RejectsBadCounts)
     const Case cases[] = {
         {"sample_interval", "wants a positive cycle interval"},
         {"profile_interval", "wants a positive cycle interval"},
-        {"trace_capacity", "wants a positive entry capacity"},
         {"flight_capacity", "wants a positive record capacity"},
         {"reuse_max_assoc", "wants a positive associativity"},
     };
@@ -128,6 +123,32 @@ TEST(TelemetryKnobs, RejectsBadCounts)
             EXPECT_EQ(error, c.diagnostic) << c.knob;
         }
     }
+}
+
+TEST(TelemetryKnobs, FlightCapacityIsBounded)
+{
+    // The ring is allocated eagerly, so an absurd capacity must fail
+    // here, at parse time, rather than as std::bad_alloc in the run.
+    TelemetryOptions options;
+    std::string error;
+    EXPECT_TRUE(applyTelemetryKnob(
+        options, "flight_capacity",
+        JsonValue(static_cast<double>(kMaxFlightCapacity)), &error))
+        << error;
+    EXPECT_EQ(options.flightCapacity, kMaxFlightCapacity);
+    for (const double bad :
+         {static_cast<double>(kMaxFlightCapacity) + 1.0, 1e11, 1e30}) {
+        TelemetryOptions untouched;
+        EXPECT_FALSE(applyTelemetryKnob(untouched, "flight_capacity",
+                                        JsonValue(bad), &error))
+            << bad;
+        EXPECT_EQ(error, "wants at most 67108864") << bad;
+        EXPECT_EQ(untouched.flightCapacity,
+                  TelemetryOptions{}.flightCapacity);
+    }
+    EXPECT_FALSE(applyTelemetryKnobText(options, "flight_capacity",
+                                        "100000000000", &error));
+    EXPECT_EQ(error, "wants at most 67108864");
 }
 
 TEST(TelemetryKnobs, RejectionLeavesOptionsUntouched)

@@ -25,6 +25,7 @@
 #include "stats/energy.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/host_profiler.hpp"
+#include "telemetry/lifecycle.hpp"
 #include "telemetry/options.hpp"
 #include "workloads/trace_io.hpp"
 
@@ -77,8 +78,11 @@ usage()
         "  --epochs-csv FILE   write the epoch series as CSV\n"
         "  --trace-json FILE   record the memory-request lifecycle and\n"
         "                      write Chrome trace_event JSON (open in\n"
-        "                      chrome://tracing or Perfetto)\n"
-        "  --trace-capacity N  trace ring size in events (65536)\n"
+        "                      chrome://tracing or Perfetto); turns\n"
+        "                      the flight recorder on and fills the\n"
+        "                      telemetry.stage.* latency histograms\n"
+        "                      from it (the JSON covers the records\n"
+        "                      the ring retains: see --flight-capacity)\n"
         "  --profile           enable the cycle-attribution profiler\n"
         "                      (stall reasons, occupancy, hot rows;\n"
         "                      adds a \"profile\" report section)\n"
@@ -90,7 +94,8 @@ usage()
         "                      write its dump (analyze with\n"
         "                      cachecraft_trace); adds a\n"
         "                      \"critical_path\" report section\n"
-        "  --flight-capacity N flight ring size in records (1048576)\n"
+        "  --flight-capacity N flight ring size in records (1048576,\n"
+        "                      at most 67108864)\n"
         "  --reuse-profile     enable one-pass reuse-distance\n"
         "                      profiling of the L2 and MRC access\n"
         "                      streams (miss-ratio curves, residency\n"
@@ -274,9 +279,6 @@ main(int argc, char **argv)
         } else if (flag == "--trace-json") {
             trace_json_path = need_value(i);
             config.telemetry.traceEnabled = true;
-        } else if (flag == "--trace-capacity") {
-            telemetry_knob("--trace-capacity", "trace_capacity",
-                           need_value(i));
         } else if (flag == "--profile") {
             telemetry_knob("--profile", "profile", "true");
         } else if (flag == "--profile-interval") {
@@ -501,12 +503,14 @@ main(int argc, char **argv)
         std::ofstream out(trace_json_path);
         if (!out)
             fatal("cannot write " + trace_json_path);
-        gpu.telemetry().writeChromeJson(out);
-        const auto *sink = gpu.telemetry().sink();
-        std::printf("wrote %s (%zu events, %llu dropped)\n",
-                    trace_json_path.c_str(), sink ? sink->size() : 0,
-                    static_cast<unsigned long long>(
-                        sink ? sink->dropped() : 0));
+        const telemetry::FlightRecorder *fr = gpu.telemetry().recorder();
+        const auto records =
+            fr ? fr->snapshot() : std::vector<telemetry::FlightRecord>{};
+        const std::uint64_t dropped = fr ? fr->dropped() : 0;
+        telemetry::writeLifecycleJson(out, records, dropped);
+        std::printf("wrote %s (from %zu records, %llu dropped)\n",
+                    trace_json_path.c_str(), records.size(),
+                    static_cast<unsigned long long>(dropped));
     }
 
     if (!flight_path.empty()) {
