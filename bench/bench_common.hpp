@@ -97,14 +97,6 @@ emit(const ResultTable &table)
     }
 }
 
-/** The four schemes in report order. */
-inline std::vector<SchemeKind>
-allSchemes()
-{
-    return {SchemeKind::kNone, SchemeKind::kInlineNaive,
-            SchemeKind::kEccCache, SchemeKind::kCacheCraft};
-}
-
 } // namespace cachecraft::bench
 
 #endif // CACHECRAFT_BENCH_BENCH_COMMON_HPP

@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 
 #include "core/cachecraft.hpp"
 
@@ -22,17 +21,12 @@ main(int argc, char **argv)
     // 1. Pick a workload.
     WorkloadKind kind = WorkloadKind::kStreaming;
     if (argc > 1) {
-        bool found = false;
-        for (WorkloadKind candidate : allWorkloads()) {
-            if (std::strcmp(argv[1], toString(candidate)) == 0) {
-                kind = candidate;
-                found = true;
-            }
-        }
-        if (!found) {
+        const auto parsed = parseWorkload(argv[1]);
+        if (!parsed) {
             std::fprintf(stderr, "unknown workload '%s'\n", argv[1]);
             return 1;
         }
+        kind = *parsed;
     }
     WorkloadParams wparams;
     wparams.footprintBytes = 8 * 1024 * 1024;

@@ -47,6 +47,14 @@ struct CacheParams
 /** Per-sector bit mask within a line (bit i = sector i). */
 using SectorMask = std::uint8_t;
 
+/**
+ * The first reason @p params cannot build a cache, or "" when it can:
+ * power-of-two line and sector sizes, at most 8 sectors per line, a
+ * size divisible by line size * ways, and a power-of-two set count.
+ * SectoredCache fatal()s on it; SystemConfig::check() reports it.
+ */
+std::string checkCacheGeometry(const CacheParams &params);
+
 /** What fell out of the cache on an eviction. */
 struct Eviction
 {

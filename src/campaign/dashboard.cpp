@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "telemetry/cache_curves.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/report.hpp"
 
@@ -14,8 +15,10 @@ namespace cachecraft::campaign {
 namespace {
 
 using telemetry::LoadedReport;
+using telemetry::numberAt;
 using telemetry::ReportSet;
 using telemetry::RunSummary;
+using telemetry::stringAt;
 
 /** Fixed scheme ordering: palette slots are assigned by entity, so a
  *  tree missing a scheme never repaints the survivors. */
@@ -90,21 +93,6 @@ slotVar(std::size_t i)
     std::snprintf(buf, sizeof buf, "var(--s%zu)",
                   std::min(i, kPaletteSlots - 1) + 1);
     return buf;
-}
-
-double
-numberAt(const JsonValue &obj, std::string_view key)
-{
-    const auto *v = obj.find(key);
-    return (v != nullptr && v->isNumber()) ? v->asNumber() : 0.0;
-}
-
-std::string
-stringAt(const JsonValue &obj, std::string_view key)
-{
-    const auto *v = obj.find(key);
-    return (v != nullptr && v->isString()) ? v->asString()
-                                           : std::string();
 }
 
 /**
@@ -569,24 +557,6 @@ renderCriticalPathChart(std::ostream &os, const std::vector<Row> &rows)
     os << "</svg>\n";
 }
 
-/** "16 KiB" / "512 B" style capacity tick labels. */
-std::string
-fmtCapacity(double bytes)
-{
-    const auto b = static_cast<std::uint64_t>(std::llround(bytes));
-    char buf[32];
-    if (b >= 1024 * 1024 && b % (1024 * 1024) == 0)
-        std::snprintf(buf, sizeof buf, "%llu MiB",
-                      static_cast<unsigned long long>(b >> 20));
-    else if (b >= 1024 && b % 1024 == 0)
-        std::snprintf(buf, sizeof buf, "%llu KiB",
-                      static_cast<unsigned long long>(b >> 10));
-    else
-        std::snprintf(buf, sizeof buf, "%llu B",
-                      static_cast<unsigned long long>(b));
-    return buf;
-}
-
 /**
  * MRC miss-ratio curves: one polyline per reuse-profiled run, all on
  * one log-capacity plot, so the capacity sensitivity of the metadata
@@ -669,7 +639,9 @@ renderCurveChart(std::ostream &os, const std::vector<Row> &rows)
            << fmt(top + plot_h, 1) << "\" class=\"grid\"/><text x=\""
            << fmt(x, 1) << "\" y=\"" << fmt(top + plot_h + 14.0, 1)
            << "\" class=\"tick\" text-anchor=\"middle\">"
-           << fmtCapacity(std::exp2(lc)) << "</text>\n";
+           << telemetry::fmtCapacity(static_cast<std::uint64_t>(
+                  std::llround(std::exp2(lc))))
+           << "</text>\n";
     }
 
     for (std::size_t i = 0; i < series.size(); ++i) {

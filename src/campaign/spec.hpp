@@ -22,11 +22,16 @@
  * its own SystemConfig and WorkloadParams — same-spec expansions are
  * identical byte for byte regardless of who expands them.
  *
+ * Knob names, value ranges and diagnostics come from the knob table
+ * (core/knobs.hpp), the same one every CLI parses its flags through.
+ *
  * Error model: structural problems (missing "grid", an axis that is
  * not an array, an unknown knob name) reject the whole spec, while a
- * bad knob *value* ("scheme": "bogus", "warps": 0) marks only the
- * affected points as failed-at-expansion (CampaignPoint::expandError),
- * so one bad axis value can never abort the rest of the campaign.
+ * bad knob *value* ("scheme": "bogus", "warps": 0), or values that
+ * together describe a machine that cannot be built ("l2_kib": 3; see
+ * SystemConfig::check), mark only the affected points as
+ * failed-at-expansion (CampaignPoint::expandError), so one bad axis
+ * value can never abort the rest of the campaign.
  */
 
 #ifndef CACHECRAFT_CAMPAIGN_SPEC_HPP
@@ -79,7 +84,7 @@ struct CampaignSpec
 std::optional<CampaignSpec> parseCampaignSpec(const std::string &text,
                                               std::string *error);
 
-/** The knob names base/grid accept, sorted (for --help and errors). */
+/** The knob names base/grid accept, sorted: knobNames(). */
 std::vector<std::string> knownKnobs();
 
 } // namespace cachecraft::campaign

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <cstdio>
 #include <sstream>
 
@@ -172,214 +173,6 @@ JsonWriter::raw(std::string_view json)
 }
 
 namespace {
-
-/** Recursive-descent JSON syntax checker (no value construction). */
-class Validator
-{
-  public:
-    explicit Validator(std::string_view text) : text_(text) {}
-
-    bool
-    run(std::string *error)
-    {
-        const bool ok = value(0) && (skipWs(), pos_ == text_.size());
-        if (!ok && error) {
-            *error = err_.empty()
-                         ? "trailing characters at offset " +
-                               std::to_string(pos_)
-                         : err_;
-        }
-        return ok;
-    }
-
-  private:
-    static constexpr int kMaxDepth = 128;
-
-    bool
-    fail(const std::string &what)
-    {
-        if (err_.empty())
-            err_ = what + " at offset " + std::to_string(pos_);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    literal(std::string_view lit)
-    {
-        if (text_.substr(pos_, lit.size()) != lit)
-            return fail("invalid literal");
-        pos_ += lit.size();
-        return true;
-    }
-
-    bool
-    string()
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return fail("expected string");
-        ++pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (static_cast<unsigned char>(c) < 0x20)
-                return fail("raw control character in string");
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= text_.size())
-                    return fail("truncated escape");
-                const char e = text_[pos_];
-                if (e == 'u') {
-                    for (int i = 1; i <= 4; ++i) {
-                        if (pos_ + i >= text_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text_[pos_ + i])))
-                            return fail("bad \\u escape");
-                    }
-                    pos_ += 4;
-                } else if (e != '"' && e != '\\' && e != '/' &&
-                           e != 'b' && e != 'f' && e != 'n' &&
-                           e != 'r' && e != 't') {
-                    return fail("bad escape character");
-                }
-            }
-            ++pos_;
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    number()
-    {
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        std::size_t digits = 0;
-        while (pos_ < text_.size() &&
-               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-            ++pos_;
-            ++digits;
-        }
-        if (digits == 0)
-            return fail("expected number");
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            digits = 0;
-            while (pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-                ++digits;
-            }
-            if (digits == 0)
-                return fail("expected fraction digits");
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            digits = 0;
-            while (pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-                ++digits;
-            }
-            if (digits == 0)
-                return fail("expected exponent digits");
-        }
-        (void)start;
-        return true;
-    }
-
-    bool
-    value(int depth)
-    {
-        if (depth > kMaxDepth)
-            return fail("nesting too deep");
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        switch (text_[pos_]) {
-          case '{': {
-            ++pos_;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                if (!string())
-                    return false;
-                skipWs();
-                if (pos_ >= text_.size() || text_[pos_] != ':')
-                    return fail("expected ':'");
-                ++pos_;
-                if (!value(depth + 1))
-                    return false;
-                skipWs();
-                if (pos_ < text_.size() && text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (pos_ < text_.size() && text_[pos_] == '}') {
-                    ++pos_;
-                    return true;
-                }
-                return fail("expected ',' or '}'");
-            }
-          }
-          case '[': {
-            ++pos_;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            while (true) {
-                if (!value(depth + 1))
-                    return false;
-                skipWs();
-                if (pos_ < text_.size() && text_[pos_] == ',') {
-                    ++pos_;
-                    continue;
-                }
-                if (pos_ < text_.size() && text_[pos_] == ']') {
-                    ++pos_;
-                    return true;
-                }
-                return fail("expected ',' or ']'");
-            }
-          }
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
-        }
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-    std::string err_;
-};
 
 /** Recursive-descent parser building a JsonValue DOM. */
 class Parser
@@ -560,7 +353,11 @@ class Parser
             if (digits == 0)
                 return fail("expected exponent digits");
         }
-        out = std::stod(std::string(text_.substr(start, pos_ - start)));
+        // strtod, not stod: an out-of-range literal ("1e999") becomes
+        // +-inf or 0 instead of throwing std::out_of_range.
+        out = std::strtod(std::string(text_.substr(start, pos_ - start))
+                              .c_str(),
+                          nullptr);
         return true;
     }
 
@@ -677,7 +474,7 @@ class Parser
 bool
 jsonValidate(std::string_view text, std::string *error)
 {
-    return Validator(text).run(error);
+    return jsonParse(text, error).has_value();
 }
 
 const JsonValue *

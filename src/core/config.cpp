@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "protect/mrc_scheme.hpp"
 
 namespace cachecraft {
 
@@ -39,18 +40,37 @@ SystemConfig::effectiveLayout() const
     return EccLayout::kNone;
 }
 
+std::string
+SystemConfig::check() const
+{
+    if (numSms == 0)
+        return "numSms must be positive";
+    if (dram.numChannels == 0)
+        return "at least one DRAM channel required";
+    if (sm.l1.lineBytes != kLineBytes || l2.cache.lineBytes != kLineBytes)
+        return "L1/L2 must use the canonical 128 B line";
+    if (sm.l1.sectorBytes != kSectorBytes ||
+        l2.cache.sectorBytes != kSectorBytes)
+        return "L1/L2 must use the canonical 32 B sector";
+    if (std::string error = checkCacheGeometry(sm.l1); !error.empty())
+        return "L1 " + error;
+    if (std::string error = checkCacheGeometry(l2.cache); !error.empty())
+        return "L2 " + error;
+    // Only the MRC schemes build an MRC.
+    if (scheme == SchemeKind::kEccCache ||
+        scheme == SchemeKind::kCacheCraft) {
+        if (std::string error = checkCacheGeometry(mrcCacheParams(mrc, 1));
+            !error.empty())
+            return "MRC " + error;
+    }
+    return "";
+}
+
 void
 SystemConfig::validate() const
 {
-    if (numSms == 0)
-        fatal("numSms must be positive");
-    if (dram.numChannels == 0)
-        fatal("at least one DRAM channel required");
-    if (sm.l1.lineBytes != kLineBytes || l2.cache.lineBytes != kLineBytes)
-        fatal("L1/L2 must use the canonical 128 B line");
-    if (sm.l1.sectorBytes != kSectorBytes ||
-        l2.cache.sectorBytes != kSectorBytes)
-        fatal("L1/L2 must use the canonical 32 B sector");
+    if (const std::string error = check(); !error.empty())
+        fatal(error);
 }
 
 std::string

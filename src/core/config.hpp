@@ -66,7 +66,14 @@ struct SystemConfig
     /** The ECC layout this configuration implies. */
     EccLayout effectiveLayout() const;
 
-    /** Sanity-check invariants; calls fatal() on bad configs. */
+    /**
+     * The first reason this configuration cannot be built, or "" when
+     * it can: SM and channel counts, the canonical line/sector sizes,
+     * and the L1, L2 and (for the MRC schemes) MRC cache geometry.
+     */
+    std::string check() const;
+
+    /** fatal() with check()'s reason on a bad configuration. */
     void validate() const;
 
     /** One-line summary, e.g. for bench row labels. */

@@ -87,6 +87,16 @@ toString(CodecKind kind)
     return "unknown";
 }
 
+std::optional<CodecKind>
+parseCodec(std::string_view name)
+{
+    for (CodecKind kind : allCodecs()) {
+        if (name == toString(kind))
+            return kind;
+    }
+    return std::nullopt;
+}
+
 std::vector<CodecKind>
 allCodecs()
 {

@@ -21,8 +21,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -204,6 +206,9 @@ std::vector<CodecKind> allCodecs();
 
 /** Human-readable codec-kind name. */
 const char *toString(CodecKind kind);
+
+/** The codec named @p name (its toString), if any. */
+std::optional<CodecKind> parseCodec(std::string_view name);
 
 /** Factory: build the codec selected by @p kind. */
 std::unique_ptr<SectorCodec> makeCodec(CodecKind kind);

@@ -25,6 +25,16 @@ toString(FaultPattern pattern)
     return "unknown";
 }
 
+std::optional<FaultPattern>
+parseFaultPattern(std::string_view name)
+{
+    for (FaultPattern pattern : allFaultPatterns()) {
+        if (name == toString(pattern))
+            return pattern;
+    }
+    return std::nullopt;
+}
+
 std::vector<FaultPattern>
 allFaultPatterns()
 {

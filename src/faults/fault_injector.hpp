@@ -13,7 +13,9 @@
 #define CACHECRAFT_FAULTS_FAULT_INJECTOR_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -36,6 +38,9 @@ enum class FaultPattern : std::uint8_t
 
 /** Human-readable pattern name. */
 const char *toString(FaultPattern pattern);
+
+/** The pattern named @p name (its toString), if any. */
+std::optional<FaultPattern> parseFaultPattern(std::string_view name);
 
 /** All patterns, in report order. */
 std::vector<FaultPattern> allFaultPatterns();

@@ -11,10 +11,8 @@
 
 namespace cachecraft {
 
-namespace {
-
 CacheParams
-mrcParams(const MrcOptions &options, std::uint64_t seed)
+mrcCacheParams(const MrcOptions &options, std::uint64_t seed)
 {
     CacheParams params;
     params.sizeBytes = options.sizeBytes;
@@ -26,12 +24,10 @@ mrcParams(const MrcOptions &options, std::uint64_t seed)
     return params;
 }
 
-} // namespace
-
 MrcScheme::MrcScheme(const SchemeContext &ctx, const MrcOptions &options,
                      bool cachecraft)
     : ProtectionScheme(ctx), options_(options), cachecraft_(cachecraft),
-      mrc_(ctx.name + ".mrc", mrcParams(options, ctx.channel + 1),
+      mrc_(ctx.name + ".mrc", mrcCacheParams(options, ctx.channel + 1),
            ctx.stats)
 {
     if (ctx_.telemetry) {

@@ -38,6 +38,10 @@
 
 namespace cachecraft {
 
+/** The MRC's cache geometry: one ECC chunk per line, one sector's
+ *  check bytes per sector. */
+CacheParams mrcCacheParams(const MrcOptions &options, std::uint64_t seed);
+
 /** MRC-based protection scheme (EccCache baseline / CacheCraft). */
 class MrcScheme : public ProtectionScheme
 {

@@ -27,6 +27,23 @@ toString(SchemeKind kind)
     return "unknown";
 }
 
+std::optional<SchemeKind>
+parseScheme(std::string_view name)
+{
+    for (SchemeKind kind : allSchemes()) {
+        if (name == toString(kind))
+            return kind;
+    }
+    return std::nullopt;
+}
+
+std::vector<SchemeKind>
+allSchemes()
+{
+    return {SchemeKind::kNone, SchemeKind::kInlineNaive,
+            SchemeKind::kEccCache, SchemeKind::kCacheCraft};
+}
+
 void
 SchemeStats::registerAll(const std::string &prefix, StatRegistry *stats)
 {

@@ -32,7 +32,10 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/arena.hpp"
 #include "common/inplace_function.hpp"
@@ -62,6 +65,12 @@ enum class SchemeKind : std::uint8_t
 
 /** Human-readable scheme name. */
 const char *toString(SchemeKind kind);
+
+/** The scheme named @p name (its toString), if any. */
+std::optional<SchemeKind> parseScheme(std::string_view name);
+
+/** All four kinds, in report order. */
+std::vector<SchemeKind> allSchemes();
 
 /** Result of a verified sector fetch. */
 struct SectorFetchResult

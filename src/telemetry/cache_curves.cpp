@@ -20,23 +20,6 @@ fmt(double v, int prec)
     return buf;
 }
 
-/** "16 KiB" / "512 B" style capacity tick labels. */
-std::string
-fmtCapacity(std::uint64_t bytes)
-{
-    char buf[32];
-    if (bytes >= 1024 * 1024 && bytes % (1024 * 1024) == 0)
-        std::snprintf(buf, sizeof buf, "%llu MiB",
-                      static_cast<unsigned long long>(bytes >> 20));
-    else if (bytes >= 1024 && bytes % 1024 == 0)
-        std::snprintf(buf, sizeof buf, "%llu KiB",
-                      static_cast<unsigned long long>(bytes >> 10));
-    else
-        std::snprintf(buf, sizeof buf, "%llu B",
-                      static_cast<unsigned long long>(bytes));
-    return buf;
-}
-
 void
 writeCurveArray(JsonWriter &w, const std::vector<CurvePoint> &points)
 {
@@ -67,6 +50,23 @@ writeMatrix(JsonWriter &w,
 }
 
 } // namespace
+
+std::string
+fmtCapacity(std::uint64_t bytes)
+{
+    char buf[32];
+    if (bytes >= 1024 * 1024 && bytes % (1024 * 1024) == 0)
+        std::snprintf(buf, sizeof buf, "%llu MiB",
+                      static_cast<unsigned long long>(bytes >> 20));
+    else if (bytes >= 1024 && bytes % 1024 == 0)
+        std::snprintf(buf, sizeof buf, "%llu KiB",
+                      static_cast<unsigned long long>(bytes >> 10));
+    else
+        std::snprintf(buf, sizeof buf, "%llu B",
+                      static_cast<unsigned long long>(bytes));
+    return buf;
+}
+
 
 std::vector<CurvePoint>
 missRatioCurve(const CacheReuseMonitor &monitor)

@@ -84,6 +84,9 @@ void writeCurvesJson(JsonWriter &w, const ReuseProfiler &profiler);
  */
 std::string renderCurvesSvg(const ReuseProfiler &profiler);
 
+/** "16 KiB" / "512 B" style capacity labels. */
+std::string fmtCapacity(std::uint64_t bytes);
+
 } // namespace cachecraft::telemetry
 
 #endif // CACHECRAFT_TELEMETRY_CACHE_CURVES_HPP

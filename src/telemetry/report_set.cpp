@@ -22,6 +22,8 @@ endsWith(const std::string &name, std::string_view suffix)
                         suffix) == 0;
 }
 
+} // namespace
+
 double
 numberAt(const JsonValue &obj, std::string_view key)
 {
@@ -36,8 +38,6 @@ stringAt(const JsonValue &obj, std::string_view key)
     return (v != nullptr && v->isString()) ? v->asString()
                                            : std::string();
 }
-
-} // namespace
 
 std::vector<std::string>
 listJsonFilesRecursive(const std::string &dir)

@@ -21,6 +21,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,6 +35,12 @@ namespace cachecraft::telemetry {
  * normalized to '/' so orderings agree across platforms.
  */
 std::vector<std::string> listJsonFilesRecursive(const std::string &dir);
+
+/** @p obj[@p key] as a number (0 when absent or not a number). */
+double numberAt(const JsonValue &obj, std::string_view key);
+
+/** @p obj[@p key] as a string ("" when absent or not a string). */
+std::string stringAt(const JsonValue &obj, std::string_view key);
 
 /** One loaded artifact of a report tree. */
 struct LoadedReport

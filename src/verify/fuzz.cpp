@@ -1,7 +1,6 @@
 #include "verify/fuzz.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -11,6 +10,7 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/gpu_system.hpp"
+#include "core/knobs.hpp"
 #include "ecc/codec.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "verify/invariants.hpp"
@@ -31,13 +31,6 @@ struct CacheShape
 constexpr CacheShape kL2Shapes[] = {{4096, 2}, {8192, 4}, {16384, 4}};
 constexpr CacheShape kMrcShapes[] = {{512, 2}, {1024, 4}, {2048, 4}};
 constexpr std::size_t kRegionSizes[] = {2048, 4096, 8192, 16384};
-
-constexpr SchemeKind kAllSchemes[] = {
-    SchemeKind::kNone,
-    SchemeKind::kInlineNaive,
-    SchemeKind::kEccCache,
-    SchemeKind::kCacheCraft,
-};
 
 /**
  * Fault patterns each codec is guaranteed to correct (one plan per
@@ -512,42 +505,35 @@ fromJson(std::string_view text, FuzzCase *out, std::string *error)
     FuzzCase c;
 
     const JsonValue *seedV = root.find("seed");
-    if (seedV && seedV->isString())
-        c.seed = std::strtoull(seedV->asString().c_str(), nullptr, 10);
-    else if (seedV && seedV->isNumber())
+    if (seedV && seedV->isString()) {
+        const auto seed = parseCount(seedV->asString());
+        if (!seed)
+            return parseFail(error, strCat("bad seed: ",
+                                           seedV->asString()));
+        c.seed = *seed;
+    } else if (seedV && seedV->isNumber()) {
         c.seed = static_cast<std::uint64_t>(seedV->asNumber());
-    else
+    } else {
         return parseFail(error, "missing field: seed");
+    }
 
     const JsonValue *schemeV = root.find("scheme");
     if (!schemeV || !schemeV->isString())
         return parseFail(error, "missing string field: scheme");
-    bool schemeFound = false;
-    for (const SchemeKind kind : kAllSchemes) {
-        if (schemeV->asString() == toString(kind)) {
-            c.scheme = kind;
-            schemeFound = true;
-            break;
-        }
-    }
-    if (!schemeFound)
+    const auto scheme = parseScheme(schemeV->asString());
+    if (!scheme)
         return parseFail(error,
                          strCat("unknown scheme: ", schemeV->asString()));
+    c.scheme = *scheme;
 
     const JsonValue *codecV = root.find("codec");
     if (!codecV || !codecV->isString())
         return parseFail(error, "missing string field: codec");
-    bool codecFound = false;
-    for (const ecc::CodecKind kind : ecc::allCodecs()) {
-        if (codecV->asString() == ecc::toString(kind)) {
-            c.codec = kind;
-            codecFound = true;
-            break;
-        }
-    }
-    if (!codecFound)
+    const auto codec = ecc::parseCodec(codecV->asString());
+    if (!codec)
         return parseFail(error,
                          strCat("unknown codec: ", codecV->asString()));
+    c.codec = *codec;
 
     std::uint64_t u = 0;
     if (!readU64(root, "sms", &u, error))
@@ -635,18 +621,12 @@ fromJson(std::string_view text, FuzzCase *out, std::string *error)
         const JsonValue *patternV = entry.find("pattern");
         if (!patternV || !patternV->isString())
             return parseFail(error, "fault entry lacks pattern");
-        bool patternFound = false;
-        for (const FaultPattern pattern : allFaultPatterns()) {
-            if (patternV->asString() == toString(pattern)) {
-                p.pattern = pattern;
-                patternFound = true;
-                break;
-            }
-        }
-        if (!patternFound)
+        const auto pattern = parseFaultPattern(patternV->asString());
+        if (!pattern)
             return parseFail(
                 error, strCat("unknown fault pattern: ",
                               patternV->asString()));
+        p.pattern = *pattern;
         if (!readU64(entry, "sector", &u, error))
             return false;
         p.sectorAddr = u;

@@ -410,6 +410,16 @@ toString(WorkloadKind kind)
     return "unknown";
 }
 
+std::optional<WorkloadKind>
+parseWorkload(std::string_view name)
+{
+    for (WorkloadKind kind : allWorkloads()) {
+        if (name == toString(kind))
+            return kind;
+    }
+    return std::nullopt;
+}
+
 std::vector<WorkloadKind>
 allWorkloads()
 {

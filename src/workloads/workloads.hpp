@@ -22,7 +22,9 @@
 #define CACHECRAFT_WORKLOADS_WORKLOADS_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/kernel_trace.hpp"
@@ -45,6 +47,9 @@ enum class WorkloadKind : std::uint8_t
 
 /** Human-readable workload name. */
 const char *toString(WorkloadKind kind);
+
+/** The workload named @p name (its toString), if any. */
+std::optional<WorkloadKind> parseWorkload(std::string_view name);
 
 /** All nine kinds, in canonical report order. */
 std::vector<WorkloadKind> allWorkloads();

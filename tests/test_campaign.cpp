@@ -147,6 +147,44 @@ TEST(CampaignSpecTest, BadKnobValueFailsOnlyItsPoints)
     EXPECT_TRUE(spec.points[2].expandError.empty());
 }
 
+TEST(CampaignSpec, BadCacheGeometryFailsOnlyItsPoint)
+{
+    // Each value is in range on its own, but a 3 KiB L2 (or MRC) is no
+    // whole number of sets: that point fails at expansion, the rest
+    // stay runnable, and the runner never reaches the cache's fatal().
+    const CampaignSpec spec = parseOrDie(R"({
+      "name": "geometry",
+      "base": { "warps": 8, "mem_insts": 4, "footprint_mib": 1 },
+      "grid": { "l2_kib": [512, 3], "mrc_kib": [16, 3] }
+    })");
+    ASSERT_EQ(spec.points.size(), 4u);
+    EXPECT_TRUE(spec.points[0].expandError.empty())
+        << spec.points[0].expandError;
+    EXPECT_EQ(spec.points[1].expandError,
+              "bad configuration: MRC cache must have a power-of-two "
+              "number of sets, not 12");
+    EXPECT_EQ(spec.points[2].expandError,
+              "bad configuration: L2 cache size 3072 B must be "
+              "divisible by line size * assoc (2048 B)");
+    EXPECT_FALSE(spec.points[3].expandError.empty());
+}
+
+TEST(CampaignSpec, OutOfRangeNumberFailsOnlyItsPoint)
+{
+    // 1e999 overflows a double: the JSON layer reads it as +inf (it
+    // used to throw std::out_of_range out of the parser and abort),
+    // and the knob rejects it like any other too-large count.
+    const CampaignSpec spec = parseOrDie(R"({
+      "name": "huge",
+      "base": { "mem_insts": 4, "footprint_mib": 1 },
+      "grid": { "warps": [8, 1e999] }
+    })");
+    ASSERT_EQ(spec.points.size(), 2u);
+    EXPECT_TRUE(spec.points[0].expandError.empty());
+    EXPECT_EQ(spec.points[1].expandError,
+              "grid axis \"warps\" wants at most 4294967295");
+}
+
 TEST(CampaignSpecTest, KnownKnobsIncludesTheGridEssentials)
 {
     const std::vector<std::string> knobs = campaign::knownKnobs();

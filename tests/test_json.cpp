@@ -93,6 +93,17 @@ TEST(JsonParseEdge, NegativeZeroKeepsItsSign)
     EXPECT_TRUE(std::signbit(parseOrDie("-0").asNumber()));
 }
 
+TEST(JsonParseEdge, OutOfRangeNumbersSaturateInsteadOfThrowing)
+{
+    // Valid JSON whose magnitude a double cannot hold: the parser
+    // returns +-inf (or 0 on underflow) rather than letting
+    // std::out_of_range escape.
+    EXPECT_TRUE(std::isinf(parseOrDie("1e999").asNumber()));
+    EXPECT_LT(parseOrDie("-1e999").asNumber(), 0.0);
+    EXPECT_EQ(parseOrDie("1e-999").asNumber(), 0.0);
+    EXPECT_TRUE(jsonValidate("[1e999]"));
+}
+
 TEST(JsonParseEdge, MalformedNumbersAreRejected)
 {
     for (const char *bad : {"+1", ".5", "1.", "1e", "1e+", "--1",

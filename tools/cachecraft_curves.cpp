@@ -20,12 +20,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/json.hpp"
 #include "core/cachecraft.hpp"
@@ -34,9 +33,16 @@
 #include "telemetry/reuse_dist.hpp"
 #include "telemetry/telemetry.hpp"
 
+#include "cli.hpp"
+
 using namespace cachecraft;
 
 namespace {
+
+/** The run-point knobs this tool exposes as flags. */
+constexpr std::string_view kKnobs[] = {
+    "workload", "footprint_mib", "warps",  "mem_insts", "seed",
+    "scheme",   "sms",           "l2_kib", "mrc_kib"};
 
 void
 usage()
@@ -46,20 +52,10 @@ usage()
         "heatmaps,\nand metadata-locality attribution\n"
         "\n"
         "workload (built-in kernels):\n"
-        "  --workload NAME     streaming strided stencil2d gemm\n"
-        "                      transpose reduction histogram random\n"
-        "                      spmv (default streaming)\n"
-        "  --footprint-mib N   array footprint (default 8)\n"
-        "  --warps N           total warps (default 256)\n"
-        "  --mem-insts N       mem insts/warp, irregular kernels (48)\n"
-        "  --seed N            workload seed (default 7)\n"
+        "%s"
         "\n"
         "system configuration:\n"
-        "  --scheme S          no-ecc | inline-naive | ecc-cache |\n"
-        "                      cachecraft (default cachecraft)\n"
-        "  --sms N             SM count (default 16)\n"
-        "  --l2-kib N          L2 KiB per slice (default 512)\n"
-        "  --mrc-kib N         MRC KiB per slice (default 16)\n"
+        "%s"
         "\n"
         "profiling:\n"
         "  --max-assoc N       curve bound: points at 1..N ways (64)\n"
@@ -73,44 +69,9 @@ usage()
         "  --validate          retain the access streams and check the\n"
         "                      one-pass curves against brute-force LRU\n"
         "                      re-simulation (exit 1 on any mismatch)\n"
-        "  --quiet             suppress the console summary\n");
-}
-
-std::optional<SchemeKind>
-parseScheme(const std::string &s)
-{
-    for (auto kind : {SchemeKind::kNone, SchemeKind::kInlineNaive,
-                      SchemeKind::kEccCache, SchemeKind::kCacheCraft}) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<WorkloadKind>
-parseWorkload(const std::string &s)
-{
-    for (auto kind : allWorkloads()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::string
-fmtCapacity(std::uint64_t bytes)
-{
-    char buf[32];
-    if (bytes >= 1024 * 1024 && bytes % (1024 * 1024) == 0)
-        std::snprintf(buf, sizeof buf, "%llu MiB",
-                      static_cast<unsigned long long>(bytes >> 20));
-    else if (bytes >= 1024 && bytes % 1024 == 0)
-        std::snprintf(buf, sizeof buf, "%llu KiB",
-                      static_cast<unsigned long long>(bytes >> 10));
-    else
-        std::snprintf(buf, sizeof buf, "%llu B",
-                      static_cast<unsigned long long>(bytes));
-    return buf;
+        "  --quiet             suppress the console summary\n",
+        cli::toolKnobHelp(kKnobs, KnobGroup::kWorkload).c_str(),
+        cli::toolKnobHelp(kKnobs, KnobGroup::kSystem).c_str());
 }
 
 /** The associativities --validate replays per cache: the extremes,
@@ -131,86 +92,42 @@ validationWays(const telemetry::CacheReuseMonitor &m)
 int
 main(int argc, char **argv)
 {
-    WorkloadParams wparams;
-    wparams.footprintBytes = 8 * 1024 * 1024;
-    wparams.numWarps = 256;
-    wparams.memInstsPerWarp = 48;
-    wparams.seed = 7;
-
-    SystemConfig config;
-    WorkloadKind workload = WorkloadKind::kStreaming;
+    cli::ToolPoint point;
+    SystemConfig &config = point.config;
+    const WorkloadKind &workload = point.workload;
+    const WorkloadParams &wparams = point.params;
     std::string json_path;
     std::string svg_path;
     bool validate = false;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto need_value = [&](int &idx) -> std::string {
-            if (idx + 1 >= argc)
-                fatal(flag + " needs a value");
-            return argv[++idx];
-        };
+    cli::Args args("cachecraft_curves", 1, argc, argv);
+    while (args.next()) {
+        const std::string flag = args.arg();
+        if (args.knob(point.target(), kKnobs))
+            continue;
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
-        } else if (flag == "--workload") {
-            const std::string name = need_value(i);
-            const auto kind = parseWorkload(name);
-            if (!kind)
-                fatal("unknown workload: " + name);
-            workload = *kind;
-        } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes =
-                std::stoull(need_value(i)) * 1024 * 1024;
-        } else if (flag == "--warps") {
-            wparams.numWarps =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-        } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-        } else if (flag == "--seed") {
-            wparams.seed = std::stoull(need_value(i));
-        } else if (flag == "--scheme") {
-            const std::string name = need_value(i);
-            const auto kind = parseScheme(name);
-            if (!kind)
-                fatal("unknown scheme: " + name);
-            config.scheme = *kind;
-        } else if (flag == "--sms") {
-            config.numSms =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-        } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes =
-                std::stoull(need_value(i)) * 1024;
-        } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = std::stoull(need_value(i)) * 1024;
         } else if (flag == "--max-assoc") {
             config.telemetry.reuseMaxAssoc =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-            if (config.telemetry.reuseMaxAssoc == 0)
-                fatal("--max-assoc must be positive");
+                static_cast<unsigned>(args.count(true, cli::kMaxUnsigned));
         } else if (flag == "--set-groups") {
             config.telemetry.reuseSetGroups =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-            if (config.telemetry.reuseSetGroups == 0)
-                fatal("--set-groups must be positive");
+                static_cast<unsigned>(args.count(true, cli::kMaxUnsigned));
         } else if (flag == "--epoch-accesses") {
-            config.telemetry.reuseEpochAccesses =
-                std::stoull(need_value(i));
-            if (config.telemetry.reuseEpochAccesses == 0)
-                fatal("--epoch-accesses must be positive");
+            config.telemetry.reuseEpochAccesses = args.count(true);
         } else if (flag == "--json") {
-            json_path = need_value(i);
+            json_path = args.value();
         } else if (flag == "--svg") {
-            svg_path = need_value(i);
+            svg_path = args.value();
         } else if (flag == "--validate") {
             validate = true;
         } else if (flag == "--quiet") {
             quiet = true;
         } else {
             usage();
-            fatal("unknown flag: " + flag);
+            args.fail("unknown flag: " + flag);
         }
     }
 
@@ -224,8 +141,10 @@ main(int argc, char **argv)
     config.telemetry.reuseProfileEnabled = true;
     config.telemetry.reuseRetainStream = validate;
 
+    const KernelTrace trace = makeWorkload(workload, wparams);
+    cli::requireInstructions(trace);
     GpuSystem gpu(config);
-    const RunStats rs = gpu.run(makeWorkload(workload, wparams));
+    const RunStats rs = gpu.run(trace);
     const telemetry::ReuseProfiler *reuse = gpu.telemetry().reuse();
     if (!reuse)
         fatal("reuse profiler missing after an enabled run");
@@ -247,9 +166,10 @@ main(int argc, char **argv)
             for (const telemetry::CurvePoint &p : k.points) {
                 if ((p.ways & (p.ways - 1)) != 0)
                     continue;
-                std::printf("  %9s (%2u ways): miss ratio %6.2f%%\n",
-                            fmtCapacity(p.capacityBytes).c_str(),
-                            p.ways, 100.0 * p.missRatio);
+                std::printf(
+                    "  %9s (%2u ways): miss ratio %6.2f%%\n",
+                    telemetry::fmtCapacity(p.capacityBytes).c_str(),
+                    p.ways, 100.0 * p.missRatio);
             }
         }
         for (const auto &m : reuse->monitors()) {
@@ -328,18 +248,14 @@ main(int argc, char **argv)
         telemetry::writeCurvesJson(w, *reuse);
         w.endObject();
         os << '\n';
-        std::ofstream out(json_path);
-        if (!out)
-            fatal("cannot write " + json_path);
+        std::ofstream out = cli::openOutput(json_path);
         out << os.str();
         if (!quiet)
             std::printf("wrote %s\n", json_path.c_str());
     }
 
     if (!svg_path.empty()) {
-        std::ofstream out(svg_path);
-        if (!out)
-            fatal("cannot write " + svg_path);
+        std::ofstream out = cli::openOutput(svg_path);
         out << telemetry::renderCurvesSvg(*reuse);
         if (!quiet)
             std::printf("wrote %s\n", svg_path.c_str());

@@ -24,6 +24,8 @@
 #include "campaign/dashboard.hpp"
 #include "telemetry/report_set.hpp"
 
+#include "cli.hpp"
+
 using namespace cachecraft;
 namespace fs = std::filesystem;
 
@@ -58,41 +60,24 @@ main(int argc, char **argv)
     std::string baseline_dir;
     campaign::DashboardOptions options;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr,
-                         "cachecraft_dashboard: flag %s needs a "
-                         "value\n",
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
+    cli::Args args("cachecraft_dashboard", 2, argc, argv);
+    while (args.next()) {
+        const std::string flag = args.arg();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--out") {
-            out_path = need_value(i);
+            out_path = args.value();
         } else if (flag == "--baseline") {
-            baseline_dir = need_value(i);
+            baseline_dir = args.value();
         } else if (flag == "--title") {
-            options.title = need_value(i);
+            options.title = args.value();
         } else if (!flag.empty() && flag[0] == '-') {
-            std::fprintf(stderr,
-                         "cachecraft_dashboard: unknown flag %s\n",
-                         flag.c_str());
-            return 2;
+            args.fail("unknown flag " + flag);
         } else if (report_dir.empty()) {
             report_dir = flag;
         } else {
-            std::fprintf(stderr,
-                         "cachecraft_dashboard: unexpected argument "
-                         "%s\n",
-                         flag.c_str());
-            return 2;
+            args.fail("unexpected argument " + flag);
         }
     }
 
@@ -100,24 +85,15 @@ main(int argc, char **argv)
         usage();
         return 2;
     }
-    if (!fs::is_directory(report_dir)) {
-        std::fprintf(stderr,
-                     "cachecraft_dashboard: %s is not a directory\n",
-                     report_dir.c_str());
-        return 2;
-    }
+    if (!fs::is_directory(report_dir))
+        args.fail(report_dir + " is not a directory");
 
     const telemetry::ReportSet reports =
         telemetry::loadReportTree(report_dir);
     telemetry::ReportSet baseline;
     if (!baseline_dir.empty()) {
-        if (!fs::is_directory(baseline_dir)) {
-            std::fprintf(stderr,
-                         "cachecraft_dashboard: baseline %s is not a "
-                         "directory\n",
-                         baseline_dir.c_str());
-            return 2;
-        }
+        if (!fs::is_directory(baseline_dir))
+            args.fail("baseline " + baseline_dir + " is not a directory");
         baseline = telemetry::loadReportTree(baseline_dir);
         options.baseline = &baseline;
         options.baselineLabel = baseline_dir;
@@ -126,12 +102,8 @@ main(int argc, char **argv)
     const std::string html =
         campaign::renderDashboard(reports, options);
     std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-        std::fprintf(stderr,
-                     "cachecraft_dashboard: cannot write %s\n",
-                     out_path.c_str());
-        return 2;
-    }
+    if (!out)
+        args.fail("cannot write " + out_path);
     out << html;
     std::printf("cachecraft_dashboard: %zu run reports -> %s "
                 "(%zu bytes)\n",

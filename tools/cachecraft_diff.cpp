@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +25,8 @@
 #include "common/log.hpp"
 #include "telemetry/diff.hpp"
 #include "telemetry/report_set.hpp"
+
+#include "cli.hpp"
 
 using namespace cachecraft;
 namespace fs = std::filesystem;
@@ -62,27 +64,17 @@ usage()
 
 /** Parse one artifact file; exits 2 on I/O, syntax, or schema error. */
 JsonValue
-loadArtifact(const std::string &path)
+loadArtifact(const cli::Args &args, const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cachecraft_diff: cannot read %s\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
+    const auto text = cli::readFile(path);
+    if (!text)
+        args.fail("cannot read " + path);
     std::string error;
-    auto doc = jsonParse(buf.str(), &error);
-    if (!doc) {
-        std::fprintf(stderr, "cachecraft_diff: %s: %s\n", path.c_str(),
-                     error.c_str());
-        std::exit(2);
-    }
-    if (!telemetry::checkSchemaVersion(*doc, path, &error)) {
-        std::fprintf(stderr, "cachecraft_diff: %s\n", error.c_str());
-        std::exit(2);
-    }
+    auto doc = jsonParse(*text, &error);
+    if (!doc)
+        args.fail(path + ": " + error);
+    if (!telemetry::checkSchemaVersion(*doc, path, &error))
+        args.fail(error);
     return std::move(*doc);
 }
 
@@ -97,44 +89,32 @@ main(int argc, char **argv)
     std::string json_out;
     bool changed_only = true;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "cachecraft_diff: flag %s needs a value\n",
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
+    cli::Args args("cachecraft_diff", 2, argc, argv);
+    while (args.next()) {
+        const std::string flag = args.arg();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--tol") {
-            tol.defaultRel = std::stod(need_value(i));
+            tol.defaultRel = args.decimal(false);
         } else if (flag == "--tol-metric") {
-            const std::string spec = need_value(i);
+            const std::string spec = args.value();
             const std::size_t eq = spec.rfind('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::fprintf(stderr,
-                             "cachecraft_diff: --tol-metric wants "
-                             "PREFIX=TOL, got %s\n",
-                             spec.c_str());
-                return 2;
-            }
-            tol.perPrefix.emplace_back(spec.substr(0, eq),
-                                       std::stod(spec.substr(eq + 1)));
+            const auto rel = eq == std::string::npos
+                                 ? std::nullopt
+                                 : parseDecimal(spec.substr(eq + 1));
+            if (eq == 0 || !rel)
+                args.fail("--tol-metric wants PREFIX=TOL (TOL a "
+                          "non-negative number), got " + spec);
+            tol.perPrefix.emplace_back(spec.substr(0, eq), *rel);
         } else if (flag == "--ignore") {
-            ignore.push_back(need_value(i));
+            ignore.push_back(args.value());
         } else if (flag == "--all") {
             changed_only = false;
         } else if (flag == "--json") {
-            json_out = need_value(i);
+            json_out = args.value();
         } else if (!flag.empty() && flag[0] == '-') {
-            std::fprintf(stderr, "cachecraft_diff: unknown flag %s\n",
-                         flag.c_str());
-            return 2;
+            args.fail("unknown flag " + flag);
         } else {
             positional.push_back(flag);
         }
@@ -148,13 +128,9 @@ main(int argc, char **argv)
     const std::string &after_path = positional[1];
 
     const bool dir_mode = fs::is_directory(before_path);
-    if (dir_mode != fs::is_directory(after_path)) {
-        std::fprintf(stderr,
-                     "cachecraft_diff: %s and %s must both be files or "
-                     "both be directories\n",
-                     before_path.c_str(), after_path.c_str());
-        return 2;
-    }
+    if (dir_mode != fs::is_directory(after_path))
+        args.fail(before_path + " and " + after_path +
+                  " must both be files or both be directories");
 
     // Directory mode folds each per-file comparison into one combined
     // result by prefixing metric paths with the tree-relative file
@@ -176,9 +152,9 @@ main(int argc, char **argv)
                 continue;
             }
             const JsonValue before =
-                loadArtifact((fs::path(before_path) / name).string());
+                loadArtifact(args, (fs::path(before_path) / name).string());
             const JsonValue after =
-                loadArtifact((fs::path(after_path) / name).string());
+                loadArtifact(args, (fs::path(after_path) / name).string());
             telemetry::DiffResult one =
                 telemetry::diffReports(before, after, tol, ignore);
             for (telemetry::DiffEntry &e : one.entries) {
@@ -196,8 +172,8 @@ main(int argc, char **argv)
                 result.onlyAfter.push_back(name);
         }
     } else {
-        const JsonValue before = loadArtifact(before_path);
-        const JsonValue after = loadArtifact(after_path);
+        const JsonValue before = loadArtifact(args, before_path);
+        const JsonValue after = loadArtifact(args, after_path);
         result = telemetry::diffReports(before, after, tol, ignore);
     }
 
@@ -206,11 +182,8 @@ main(int argc, char **argv)
 
     if (!json_out.empty()) {
         std::ofstream out(json_out);
-        if (!out) {
-            std::fprintf(stderr, "cachecraft_diff: cannot write %s\n",
-                         json_out.c_str());
-            return 2;
-        }
+        if (!out)
+            args.fail("cannot write " + json_out);
         out << telemetry::renderDiffJson(result);
     }
 

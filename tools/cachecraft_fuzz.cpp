@@ -22,10 +22,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,17 +31,12 @@
 #include "protect/scheme.hpp"
 #include "verify/fuzz.hpp"
 
+#include "cli.hpp"
+
 using namespace cachecraft;
 namespace fs = std::filesystem;
 
 namespace {
-
-constexpr SchemeKind kAllSchemes[] = {
-    SchemeKind::kNone,
-    SchemeKind::kInlineNaive,
-    SchemeKind::kEccCache,
-    SchemeKind::kCacheCraft,
-};
 
 void
 usage()
@@ -73,24 +66,16 @@ usage()
 }
 
 int
-replay(const std::string &path, const std::string &flight_path,
-       bool quiet)
+replay(const cli::Args &args, const std::string &path,
+       const std::string &flight_path, bool quiet)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cachecraft_fuzz: cannot read %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
+    const auto text = cli::readFile(path);
+    if (!text)
+        args.fail("cannot read " + path);
     verify::FuzzCase fuzzCase;
     std::string error;
-    if (!verify::fromJson(buf.str(), &fuzzCase, &error)) {
-        std::fprintf(stderr, "cachecraft_fuzz: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return 2;
-    }
+    if (!verify::fromJson(*text, &fuzzCase, &error))
+        args.fail(path + ": " + error);
     const verify::FuzzResult result =
         verify::runCase(fuzzCase, flight_path);
     if (!flight_path.empty() && !quiet)
@@ -128,63 +113,47 @@ main(int argc, char **argv)
     bool minimize = true;
     bool quiet = false;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "cachecraft_fuzz: flag %s needs a value\n",
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
+    cli::Args args("cachecraft_fuzz", 2, argc, argv);
+    while (args.next()) {
+        const std::string flag = args.arg();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--seeds") {
-            seeds = std::strtoull(need_value(i), nullptr, 10);
+            seeds = args.count(false);
         } else if (flag == "--seed-base") {
-            seedBase = std::strtoull(need_value(i), nullptr, 10);
+            seedBase = args.count(false);
         } else if (flag == "--scheme") {
-            schemeArg = need_value(i);
+            schemeArg = args.value();
         } else if (flag == "--plant") {
-            plantArg = need_value(i);
+            plantArg = args.value();
         } else if (flag == "--out") {
-            outDir = need_value(i);
+            outDir = args.value();
         } else if (flag == "--no-minimize") {
             minimize = false;
         } else if (flag == "--replay") {
-            replayPath = need_value(i);
+            replayPath = args.value();
         } else if (flag == "--flight") {
-            flightPath = need_value(i);
+            flightPath = args.value();
         } else if (flag == "--quiet") {
             quiet = true;
         } else {
-            std::fprintf(stderr, "cachecraft_fuzz: unknown flag %s\n",
-                         flag.c_str());
             usage();
-            return 2;
+            args.fail("unknown flag " + flag);
         }
     }
 
     if (!replayPath.empty())
-        return replay(replayPath, flightPath, quiet);
-    if (!flightPath.empty()) {
-        std::fprintf(stderr,
-                     "cachecraft_fuzz: --flight needs --replay "
-                     "(sweeps write postmortems automatically)\n");
-        return 2;
-    }
+        return replay(args, replayPath, flightPath, quiet);
+    if (!flightPath.empty())
+        args.fail("--flight needs --replay (sweeps write postmortems "
+                  "automatically)");
 
     bool plantStaleMeta = false;
     if (!plantArg.empty()) {
-        if (plantArg != "mrc-stale-meta") {
-            std::fprintf(stderr, "cachecraft_fuzz: unknown plant '%s' "
-                         "(supported: mrc-stale-meta)\n",
-                         plantArg.c_str());
-            return 2;
-        }
+        if (plantArg != "mrc-stale-meta")
+            args.fail("unknown plant '" + plantArg +
+                      "' (supported: mrc-stale-meta)");
         plantStaleMeta = true;
         // The stale-metadata bug lives in the write-back MRC path, so
         // the self-test only makes sense for the cachecraft scheme.
@@ -192,19 +161,12 @@ main(int argc, char **argv)
             schemeArg = "cachecraft";
     }
 
-    std::vector<SchemeKind> schemes;
-    if (schemeArg == "all") {
-        schemes.assign(std::begin(kAllSchemes), std::end(kAllSchemes));
-    } else {
-        for (const SchemeKind kind : kAllSchemes) {
-            if (schemeArg == toString(kind))
-                schemes.push_back(kind);
-        }
-        if (schemes.empty()) {
-            std::fprintf(stderr, "cachecraft_fuzz: unknown scheme '%s'\n",
-                         schemeArg.c_str());
-            return 2;
-        }
+    std::vector<SchemeKind> schemes = allSchemes();
+    if (schemeArg != "all") {
+        const auto scheme = parseScheme(schemeArg);
+        if (!scheme)
+            args.fail("unknown scheme '" + schemeArg + "'");
+        schemes = {*scheme};
     }
 
     std::uint64_t casesRun = 0;

@@ -25,11 +25,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
@@ -38,9 +37,16 @@
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/report.hpp"
 
+#include "cli.hpp"
+
 using namespace cachecraft;
 
 namespace {
+
+/** The run-point knobs this tool exposes as flags. */
+constexpr std::string_view kKnobs[] = {
+    "workload", "footprint_mib", "warps",  "mem_insts", "seed",
+    "scheme",   "codec",         "sms",    "l2_kib",    "mrc_kib"};
 
 void
 usage()
@@ -50,20 +56,7 @@ usage()
         "counters,\nand memory telemetry of the simulator itself\n"
         "\n"
         "single-run mode (built-in kernels):\n"
-        "  --workload NAME     streaming strided stencil2d gemm\n"
-        "                      transpose reduction histogram random\n"
-        "                      spmv (default streaming)\n"
-        "  --footprint-mib N   array footprint (default 8)\n"
-        "  --warps N           total warps (default 256)\n"
-        "  --mem-insts N       mem insts/warp, irregular kernels (48)\n"
-        "  --seed N            workload seed (default 7)\n"
-        "  --scheme S          no-ecc | inline-naive | ecc-cache |\n"
-        "                      cachecraft (default cachecraft)\n"
-        "  --codec C           secded | sec-badaec | chipkill |\n"
-        "                      aft-ecc (default secded)\n"
-        "  --sms N             SM count (default 16)\n"
-        "  --l2-kib N          L2 KiB per slice (default 512)\n"
-        "  --mrc-kib N         MRC KiB per slice (default 16)\n"
+        "%s%s"
         "  --shards N          engine worker threads (default 1; also\n"
         "                      applies to every campaign point)\n"
         "\n"
@@ -83,38 +76,9 @@ usage()
         "                      compatible: \"host;a;b <ns>\" lines)\n"
         "  --svg FILE          write a self-contained flamegraph SVG\n"
         "  --no-counters       skip perf_event hardware counters\n"
-        "  --quiet             suppress the console tree\n");
-}
-
-std::optional<SchemeKind>
-parseScheme(const std::string &s)
-{
-    for (auto kind : {SchemeKind::kNone, SchemeKind::kInlineNaive,
-                      SchemeKind::kEccCache, SchemeKind::kCacheCraft}) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<ecc::CodecKind>
-parseCodec(const std::string &s)
-{
-    for (auto kind : ecc::allCodecs()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<WorkloadKind>
-parseWorkload(const std::string &s)
-{
-    for (auto kind : allWorkloads()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
+        "  --quiet             suppress the console tree\n",
+        cli::toolKnobHelp(kKnobs, KnobGroup::kWorkload).c_str(),
+        cli::toolKnobHelp(kKnobs, KnobGroup::kSystem).c_str());
 }
 
 std::uint64_t
@@ -138,25 +102,19 @@ writeArtifactFiles(const telemetry::HostProfileArtifact &artifact,
         JsonWriter w(os);
         telemetry::writeHostProfileJson(w, artifact);
         os << '\n';
-        std::ofstream out(json_path);
-        if (!out)
-            fatal("cannot write " + json_path);
+        std::ofstream out = cli::openOutput(json_path);
         out << os.str();
         if (!quiet)
             std::printf("wrote %s\n", json_path.c_str());
     }
     if (!folded_path.empty()) {
-        std::ofstream out(folded_path);
-        if (!out)
-            fatal("cannot write " + folded_path);
+        std::ofstream out = cli::openOutput(folded_path);
         out << telemetry::renderHostFolded(artifact.snapshot);
         if (!quiet)
             std::printf("wrote %s\n", folded_path.c_str());
     }
     if (!svg_path.empty()) {
-        std::ofstream out(svg_path);
-        if (!out)
-            fatal("cannot write " + svg_path);
+        std::ofstream out = cli::openOutput(svg_path);
         out << telemetry::renderHostFlameSvg(artifact.snapshot, title);
         if (!quiet)
             std::printf("wrote %s\n", svg_path.c_str());
@@ -168,14 +126,8 @@ writeArtifactFiles(const telemetry::HostProfileArtifact &artifact,
 int
 main(int argc, char **argv)
 {
-    WorkloadParams wparams;
-    wparams.footprintBytes = 8 * 1024 * 1024;
-    wparams.numWarps = 256;
-    wparams.memInstsPerWarp = 48;
-    wparams.seed = 7;
-
-    SystemConfig config;
-    WorkloadKind workload = WorkloadKind::kStreaming;
+    cli::ToolPoint point;
+    const SystemConfig &config = point.config;
     std::string campaign_path;
     std::string out_dir;
     unsigned jobs = 1;
@@ -186,84 +138,36 @@ main(int argc, char **argv)
     bool counters = true;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto need_value = [&](int &idx) -> std::string {
-            if (idx + 1 >= argc)
-                fatal(flag + " needs a value");
-            return argv[++idx];
-        };
+    cli::Args args("cachecraft_hostprof", 1, argc, argv);
+    while (args.next()) {
+        const std::string flag = args.arg();
+        if (args.knob(point.target(), kKnobs))
+            continue;
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
-        } else if (flag == "--workload") {
-            const std::string name = need_value(i);
-            const auto kind = parseWorkload(name);
-            if (!kind)
-                fatal("unknown workload: " + name);
-            workload = *kind;
-        } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes =
-                std::stoull(need_value(i)) * 1024 * 1024;
-            if (wparams.footprintBytes == 0)
-                fatal("--footprint-mib must be positive");
-        } else if (flag == "--warps") {
-            wparams.numWarps =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-            if (wparams.numWarps == 0)
-                fatal("--warps must be positive");
-        } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-            if (wparams.memInstsPerWarp == 0)
-                fatal("--mem-insts must be positive");
-        } else if (flag == "--seed") {
-            wparams.seed = std::stoull(need_value(i));
-        } else if (flag == "--scheme") {
-            const std::string name = need_value(i);
-            const auto kind = parseScheme(name);
-            if (!kind)
-                fatal("unknown scheme: " + name);
-            config.scheme = *kind;
-        } else if (flag == "--codec") {
-            const std::string name = need_value(i);
-            const auto kind = parseCodec(name);
-            if (!kind)
-                fatal("unknown codec: " + name);
-            config.codec = *kind;
-        } else if (flag == "--sms") {
-            config.numSms =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-        } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes =
-                std::stoull(need_value(i)) * 1024;
-        } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = std::stoull(need_value(i)) * 1024;
         } else if (flag == "--campaign") {
-            campaign_path = need_value(i);
+            campaign_path = args.value();
         } else if (flag == "--out") {
-            out_dir = need_value(i);
+            out_dir = args.value();
         } else if (flag == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(need_value(i)));
-            if (jobs == 0)
-                fatal("--jobs must be positive");
+            jobs = static_cast<unsigned>(args.count(true, cli::kMaxUnsigned));
         } else if (flag == "--shards") {
-            shards = static_cast<unsigned>(std::stoul(need_value(i)));
-            if (shards == 0)
-                fatal("--shards must be positive");
+            shards =
+                static_cast<unsigned>(args.count(true, cli::kMaxUnsigned));
         } else if (flag == "--json") {
-            json_path = need_value(i);
+            json_path = args.value();
         } else if (flag == "--folded") {
-            folded_path = need_value(i);
+            folded_path = args.value();
         } else if (flag == "--svg") {
-            svg_path = need_value(i);
+            svg_path = args.value();
         } else if (flag == "--no-counters") {
             counters = false;
         } else if (flag == "--quiet") {
             quiet = true;
         } else {
             usage();
-            fatal("unknown flag: " + flag);
+            args.fail("unknown flag: " + flag);
         }
     }
 
@@ -285,14 +189,11 @@ main(int argc, char **argv)
     if (!campaign_path.empty()) {
         if (out_dir.empty())
             fatal("--campaign needs --out DIR");
-        std::ifstream in(campaign_path);
-        if (!in)
+        const auto text = cli::readFile(campaign_path);
+        if (!text)
             fatal("cannot read " + campaign_path);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
         std::string error;
-        const auto spec =
-            campaign::parseCampaignSpec(buffer.str(), &error);
+        const auto spec = campaign::parseCampaignSpec(*text, &error);
         if (!spec)
             fatal("bad campaign spec: " + error);
 
@@ -327,20 +228,24 @@ main(int argc, char **argv)
         telemetry::HostProfiler::retain(popts);
         const auto start = std::chrono::steady_clock::now();
         {
+            const KernelTrace trace =
+                makeWorkload(point.workload, point.params);
+            cli::requireInstructions(trace);
             GpuSystem gpu(config);
             gpu.setShards(shards);
-            gpu.run(makeWorkload(workload, wparams));
+            gpu.run(trace);
             gpu.auditMemory();
         }
         telemetry::HostProfiler::sampleMemory();
         artifact.wallNs = elapsedNs(start);
         telemetry::HostProfiler::release();
 
-        artifact.config.emplace_back("workload", toString(workload));
+        artifact.config.emplace_back("workload",
+                                     toString(point.workload));
         artifact.config.emplace_back("scheme",
                                      toString(config.scheme));
         artifact.config.emplace_back("summary", config.summary());
-        title = strCat("hostprof: ", toString(workload), " / ",
+        title = strCat("hostprof: ", toString(point.workload), " / ",
                        toString(config.scheme));
     }
 

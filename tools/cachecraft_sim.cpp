@@ -15,10 +15,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/json.hpp"
 #include "core/cachecraft.hpp"
@@ -26,12 +27,23 @@
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/lifecycle.hpp"
-#include "telemetry/options.hpp"
 #include "workloads/trace_io.hpp"
+
+#include "cli.hpp"
 
 using namespace cachecraft;
 
 namespace {
+
+/** The run-point knobs this tool exposes as flags. */
+constexpr std::string_view kKnobs[] = {
+    "workload",        "footprint_mib",     "warps",
+    "mem_insts",       "seed",              "scheme",
+    "codec",           "sms",               "l2_kib",
+    "mrc_kib",         "chunk_granularity", "writeback_mrc",
+    "co_located_layout", "gto",             "l2_whole_line",
+    "sample_interval", "profile",           "profile_interval",
+    "flight_capacity", "reuse_profile",     "reuse_max_assoc"};
 
 void
 usage()
@@ -39,29 +51,12 @@ usage()
     std::printf(
         "cachecraft_sim — GPU memory-protection simulator\n"
         "\n"
-        "workload selection (one of):\n"
-        "  --workload NAME     built-in kernel: streaming strided\n"
-        "                      stencil2d gemm transpose reduction\n"
-        "                      histogram random spmv\n"
+        "workload (a built-in kernel, or --trace):\n"
+        "%s"
         "  --trace FILE        load a trace file (see trace_io.hpp)\n"
         "\n"
-        "workload sizing (built-in kernels):\n"
-        "  --footprint-mib N   array footprint (default 8)\n"
-        "  --warps N           total warps (default 256)\n"
-        "  --mem-insts N       mem insts/warp, irregular kernels (48)\n"
-        "  --seed N            workload seed (default 7)\n"
-        "\n"
         "system configuration:\n"
-        "  --scheme S          no-ecc | inline-naive | ecc-cache |\n"
-        "                      cachecraft (default cachecraft)\n"
-        "  --codec C           secded | sec-badaec | chipkill |\n"
-        "                      aft-ecc (default secded)\n"
-        "  --sms N             SM count (default 16)\n"
-        "  --l2-kib N          L2 KiB per slice (default 512)\n"
-        "  --mrc-kib N         MRC KiB per slice (default 16)\n"
-        "  --no-r1 --no-r2 --no-r3   disable CacheCraft mechanisms\n"
-        "  --gto               greedy-then-oldest warp scheduling\n"
-        "  --l2-whole-line     fetch whole 128 B line on L2 miss\n"
+        "%s"
         "\n"
         "output:\n"
         "  --dump-trace FILE   write the workload trace and exit\n"
@@ -74,7 +69,7 @@ usage()
         "  --log-level L       silent | warn | info | debug (warn)\n"
         "\n"
         "telemetry:\n"
-        "  --sample-interval N sample stat deltas every N cycles\n"
+        "%s"
         "  --epochs-csv FILE   write the epoch series as CSV\n"
         "  --trace-json FILE   record the memory-request lifecycle and\n"
         "                      write Chrome trace_event JSON (open in\n"
@@ -83,27 +78,12 @@ usage()
         "                      telemetry.stage.* latency histograms\n"
         "                      from it (the JSON covers the records\n"
         "                      the ring retains: see --flight-capacity)\n"
-        "  --profile           enable the cycle-attribution profiler\n"
-        "                      (stall reasons, occupancy, hot rows;\n"
-        "                      adds a \"profile\" report section)\n"
-        "  --profile-interval N poll occupancy gauges every N cycles\n"
-        "                      (default 4096)\n"
         "  --report-json FILE  write the full machine-readable run\n"
         "                      report (manifest + config + stats)\n"
         "  --flight-record FILE enable the binary flight recorder and\n"
         "                      write its dump (analyze with\n"
         "                      cachecraft_trace); adds a\n"
         "                      \"critical_path\" report section\n"
-        "  --flight-capacity N flight ring size in records (1048576,\n"
-        "                      at most 67108864)\n"
-        "  --reuse-profile     enable one-pass reuse-distance\n"
-        "                      profiling of the L2 and MRC access\n"
-        "                      streams (miss-ratio curves, residency\n"
-        "                      heatmaps, locality attribution; adds a\n"
-        "                      \"curves\" report section; see also the\n"
-        "                      dedicated cachecraft_curves tool)\n"
-        "  --reuse-max-assoc N curve bound: miss-ratio points at\n"
-        "                      1..N ways (default 64)\n"
         "  --host-profile FILE enable the host wall-clock zone\n"
         "                      profiler and write its JSON artifact\n"
         "                      (schema cachecraft.hostprof/1; see the\n"
@@ -118,38 +98,13 @@ usage()
         "                      the engine always executes the same\n"
         "                      fixed domain decomposition under the\n"
         "                      same epoch-barrier schedule; this only\n"
-        "                      sets how many threads drain it\n");
-}
-
-std::optional<SchemeKind>
-parseScheme(const std::string &s)
-{
-    for (auto kind : {SchemeKind::kNone, SchemeKind::kInlineNaive,
-                      SchemeKind::kEccCache, SchemeKind::kCacheCraft}) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<ecc::CodecKind>
-parseCodec(const std::string &s)
-{
-    for (auto kind : ecc::allCodecs()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
-}
-
-std::optional<WorkloadKind>
-parseWorkload(const std::string &s)
-{
-    for (auto kind : allWorkloads()) {
-        if (s == toString(kind))
-            return kind;
-    }
-    return std::nullopt;
+        "                      sets how many threads drain it\n"
+        "\n"
+        "Campaign specs take the same knobs by their spec names\n"
+        "(cachecraft_sweep --list-knobs).\n",
+        cli::toolKnobHelp(kKnobs, KnobGroup::kWorkload).c_str(),
+        cli::toolKnobHelp(kKnobs, KnobGroup::kSystem).c_str(),
+        cli::toolKnobHelp(kKnobs, KnobGroup::kTelemetry).c_str());
 }
 
 std::optional<LogLevel>
@@ -171,13 +126,9 @@ parseLogLevel(const std::string &s)
 int
 main(int argc, char **argv)
 {
-    WorkloadParams wparams;
-    wparams.footprintBytes = 8 * 1024 * 1024;
-    wparams.numWarps = 256;
-    wparams.memInstsPerWarp = 48;
-
-    SystemConfig config;
-    std::optional<WorkloadKind> workload;
+    cli::ToolPoint point;
+    SystemConfig &config = point.config;
+    const WorkloadParams &wparams = point.params;
     std::string trace_path;
     std::string dump_path;
     std::string csv_path;
@@ -192,135 +143,54 @@ main(int argc, char **argv)
     bool quiet = false;
     bool list_stats = false;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal(strCat("flag ", argv[i], " needs a value"));
-        return argv[++i];
+    cli::Args args("cachecraft_sim", 1, argc, argv);
+    auto enable = [&](std::string_view knob) {
+        applyKnobText(point.target(), knob, "true", nullptr);
     };
-
-    // Telemetry flags funnel through the shared knob parser (the same
-    // one campaign specs use), so the two surfaces cannot drift on
-    // names, coupling rules, or validation.
-    auto telemetry_knob = [&](const char *flag, const std::string &knob,
-                              const std::string &text) {
-        std::string error;
-        if (!telemetry::applyTelemetryKnobText(config.telemetry, knob,
-                                               text, &error))
-            fatal(strCat("flag ", flag, " ", error));
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
+    while (args.next()) {
+        const std::string flag = args.arg();
+        if (args.knob(point.target(), kKnobs))
+            continue;
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
-        } else if (flag == "--workload") {
-            workload = parseWorkload(need_value(i));
-            if (!workload)
-                fatal("unknown workload");
         } else if (flag == "--trace") {
-            trace_path = need_value(i);
-        } else if (flag == "--footprint-mib") {
-            wparams.footprintBytes =
-                std::stoull(need_value(i)) * 1024 * 1024;
-            if (wparams.footprintBytes == 0)
-                fatal("--footprint-mib must be positive");
-        } else if (flag == "--warps") {
-            wparams.numWarps =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-            if (wparams.numWarps == 0)
-                fatal("--warps must be positive");
-        } else if (flag == "--mem-insts") {
-            wparams.memInstsPerWarp =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-            if (wparams.memInstsPerWarp == 0)
-                fatal("--mem-insts must be positive");
-        } else if (flag == "--seed") {
-            wparams.seed = std::stoull(need_value(i));
-        } else if (flag == "--scheme") {
-            const auto scheme = parseScheme(need_value(i));
-            if (!scheme)
-                fatal("unknown scheme");
-            config.scheme = *scheme;
-        } else if (flag == "--codec") {
-            const auto codec = parseCodec(need_value(i));
-            if (!codec)
-                fatal("unknown codec");
-            config.codec = *codec;
-        } else if (flag == "--sms") {
-            config.numSms =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-        } else if (flag == "--l2-kib") {
-            config.l2.cache.sizeBytes =
-                std::stoull(need_value(i)) * 1024;
-        } else if (flag == "--mrc-kib") {
-            config.mrc.sizeBytes = std::stoull(need_value(i)) * 1024;
-        } else if (flag == "--no-r1") {
-            config.mrc.chunkGranularity = false;
-        } else if (flag == "--no-r2") {
-            config.mrc.writebackMrc = false;
-        } else if (flag == "--no-r3") {
-            config.coLocatedLayout = false;
-        } else if (flag == "--gto") {
-            config.sm.scheduler = WarpSched::kGto;
-        } else if (flag == "--l2-whole-line") {
-            config.l2.fetchWholeLine = true;
+            trace_path = args.value();
         } else if (flag == "--dump-trace") {
-            dump_path = need_value(i);
+            dump_path = args.value();
         } else if (flag == "--list-stats") {
             list_stats = true;
         } else if (flag == "--stats-csv") {
-            csv_path = need_value(i);
-        } else if (flag == "--sample-interval") {
-            telemetry_knob("--sample-interval", "sample_interval",
-                           need_value(i));
+            csv_path = args.value();
         } else if (flag == "--epochs-csv") {
-            epochs_csv_path = need_value(i);
+            epochs_csv_path = args.value();
         } else if (flag == "--trace-json") {
-            trace_json_path = need_value(i);
+            trace_json_path = args.value();
             config.telemetry.traceEnabled = true;
-        } else if (flag == "--profile") {
-            telemetry_knob("--profile", "profile", "true");
-        } else if (flag == "--profile-interval") {
-            telemetry_knob("--profile-interval", "profile_interval",
-                           need_value(i));
         } else if (flag == "--report-json") {
-            report_json_path = need_value(i);
+            report_json_path = args.value();
         } else if (flag == "--flight-record") {
-            flight_path = need_value(i);
-            telemetry_knob("--flight-record", "flight_recorder", "true");
-        } else if (flag == "--flight-capacity") {
-            telemetry_knob("--flight-capacity", "flight_capacity",
-                           need_value(i));
-        } else if (flag == "--reuse-profile") {
-            telemetry_knob("--reuse-profile", "reuse_profile", "true");
-        } else if (flag == "--reuse-max-assoc") {
-            telemetry_knob("--reuse-max-assoc", "reuse_max_assoc",
-                           need_value(i));
+            flight_path = args.value();
+            enable("flight_recorder");
         } else if (flag == "--host-profile") {
-            host_profile_path = need_value(i);
-            telemetry_knob("--host-profile", "host_profile", "true");
+            host_profile_path = args.value();
+            enable("host_profile");
         } else if (flag == "--progress") {
-            progress_interval = std::stoull(need_value(i));
-            if (progress_interval == 0)
-                fatal("--progress must be positive");
+            progress_interval = args.count(true);
         } else if (flag == "--shards") {
-            shards = static_cast<unsigned>(std::stoul(need_value(i)));
-            if (shards == 0)
-                fatal("--shards must be positive");
+            shards = static_cast<unsigned>(
+                args.count(true, cli::kMaxUnsigned));
         } else if (flag == "--log-level") {
-            const auto level = parseLogLevel(need_value(i));
+            const auto level = parseLogLevel(args.value());
             if (!level)
-                fatal("unknown log level (see --help)");
+                args.fail("unknown log level (see --help)");
             setLogLevel(*level);
         } else if (flag == "--energy") {
             want_energy = true;
         } else if (flag == "--quiet") {
             quiet = true;
         } else {
-            std::fprintf(stderr, "unknown flag %s (see --help)\n",
-                         flag.c_str());
-            return 1;
+            args.fail("unknown flag " + flag + " (see --help)");
         }
     }
 
@@ -342,8 +212,7 @@ main(int argc, char **argv)
         if (!error.empty())
             fatal(error);
     } else {
-        trace = makeWorkload(workload.value_or(WorkloadKind::kStreaming),
-                             wparams);
+        trace = makeWorkload(point.workload, wparams);
     }
 
     if (!dump_path.empty()) {
@@ -354,38 +223,28 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // An empty kernel would "succeed" with a zero-cycle report.
-    if (trace.totalInsts() == 0)
-        fatal("the workload has no instructions to simulate (footprint "
-              "or warp count too small for this kernel?)");
+    cli::requireInstructions(trace);
 
     if (!epochs_csv_path.empty() && config.telemetry.sampleInterval == 0)
         fatal("--epochs-csv needs --sample-interval");
-    if (!trace_json_path.empty() && !telemetry::kTraceCompiledIn)
-        warn("tracing was compiled out (CACHECRAFT_DISABLE_TRACING); "
-             "the trace will be empty");
-    if (config.telemetry.profileEnabled && !telemetry::kTraceCompiledIn)
-        warn("tracing was compiled out (CACHECRAFT_DISABLE_TRACING); "
-             "--profile has no effect");
-    if (!flight_path.empty() && !telemetry::kTraceCompiledIn)
-        warn("tracing was compiled out (CACHECRAFT_DISABLE_TRACING); "
-             "the flight dump will be empty");
-    if (config.telemetry.reuseProfileEnabled &&
-        !telemetry::kTraceCompiledIn)
-        warn("tracing was compiled out (CACHECRAFT_DISABLE_TRACING); "
-             "--reuse-profile has no effect");
-    if (!host_profile_path.empty() && !telemetry::kTraceCompiledIn)
-        warn("tracing was compiled out (CACHECRAFT_DISABLE_TRACING); "
-             "the host profile will be empty");
+    const std::pair<bool, const char *> traced[] = {
+        {!trace_json_path.empty(), "the trace will be empty"},
+        {config.telemetry.profileEnabled, "--profile has no effect"},
+        {!flight_path.empty(), "the flight dump will be empty"},
+        {config.telemetry.reuseProfileEnabled,
+         "--reuse-profile has no effect"},
+        {!host_profile_path.empty(), "the host profile will be empty"}};
+    for (const auto &[on, effect] : traced) {
+        if (on && !telemetry::kTraceCompiledIn)
+            warn(strCat("tracing was compiled out "
+                        "(CACHECRAFT_DISABLE_TRACING); ", effect));
+    }
     // Fail on unwritable output paths now, not after a long run.
     for (const std::string &path :
          {epochs_csv_path, trace_json_path, report_json_path,
           flight_path, host_profile_path}) {
-        if (path.empty())
-            continue;
-        std::ofstream probe(path, std::ios::app);
-        if (!probe)
-            fatal("cannot write " + path);
+        if (!path.empty())
+            cli::openOutput(path, std::ios::app);
     }
 
     if (!quiet)
@@ -491,18 +350,14 @@ main(int argc, char **argv)
     }
 
     if (!epochs_csv_path.empty()) {
-        std::ofstream out(epochs_csv_path);
-        if (!out)
-            fatal("cannot write " + epochs_csv_path);
+        std::ofstream out = cli::openOutput(epochs_csv_path);
         out << gpu.sampler()->renderCsv();
         std::printf("wrote %s (%zu epochs)\n", epochs_csv_path.c_str(),
                     gpu.sampler()->epochs().size());
     }
 
     if (!trace_json_path.empty()) {
-        std::ofstream out(trace_json_path);
-        if (!out)
-            fatal("cannot write " + trace_json_path);
+        std::ofstream out = cli::openOutput(trace_json_path);
         const telemetry::FlightRecorder *fr = gpu.telemetry().recorder();
         const auto records =
             fr ? fr->snapshot() : std::vector<telemetry::FlightRecord>{};
@@ -514,10 +369,8 @@ main(int argc, char **argv)
     }
 
     if (!flight_path.empty()) {
-        std::ofstream out(flight_path,
-                          std::ios::binary | std::ios::trunc);
-        if (!out)
-            fatal("cannot write " + flight_path);
+        std::ofstream out = cli::openOutput(
+            flight_path, std::ios::binary | std::ios::trunc);
         const telemetry::FlightRecorder *fr = gpu.telemetry().recorder();
         if (fr)
             fr->writeBinary(out);
@@ -528,9 +381,7 @@ main(int argc, char **argv)
     }
 
     if (!report_json_path.empty()) {
-        std::ofstream out(report_json_path);
-        if (!out)
-            fatal("cannot write " + report_json_path);
+        std::ofstream out = cli::openOutput(report_json_path);
         telemetry::RunManifest manifest;
         manifest.tool = "cachecraft_sim";
         manifest.workload = trace.name;
@@ -545,9 +396,7 @@ main(int argc, char **argv)
     }
 
     if (!host_profile_path.empty()) {
-        std::ofstream out(host_profile_path);
-        if (!out)
-            fatal("cannot write " + host_profile_path);
+        std::ofstream out = cli::openOutput(host_profile_path);
         telemetry::HostProfileArtifact artifact;
         artifact.snapshot = telemetry::HostProfiler::snapshot();
         artifact.tool = "cachecraft_sim";

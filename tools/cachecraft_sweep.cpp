@@ -18,12 +18,12 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+
+#include "cli.hpp"
 
 using namespace cachecraft;
 
@@ -70,63 +70,39 @@ main(int argc, char **argv)
     campaign::RunnerOptions options;
     bool dry_run = false;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr,
-                         "cachecraft_sweep: flag %s needs a value\n",
-                         argv[i]);
-            std::exit(2);
-        }
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
+    cli::Args args("cachecraft_sweep", 2, argc, argv);
+    while (args.next()) {
+        const std::string flag = args.arg();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--out") {
-            options.outDir = need_value(i);
+            options.outDir = args.value();
         } else if (flag == "--jobs") {
+            // 0 keeps the default: one worker per hardware thread.
             options.jobs =
-                static_cast<unsigned>(std::stoul(need_value(i)));
+                static_cast<unsigned>(args.count(false, cli::kMaxUnsigned));
         } else if (flag == "--shards") {
             options.shards =
-                static_cast<unsigned>(std::stoul(need_value(i)));
-            if (options.shards == 0) {
-                std::fprintf(stderr, "cachecraft_sweep: --shards "
-                                     "must be positive\n");
-                return 2;
-            }
+                static_cast<unsigned>(args.count(true, cli::kMaxUnsigned));
         } else if (flag == "--point-timeout") {
-            options.pointTimeoutSeconds = std::stod(need_value(i));
+            options.pointTimeoutSeconds = args.decimal(false);
         } else if (flag == "--dry-run") {
             dry_run = true;
         } else if (flag == "--quiet") {
             options.progress = nullptr;
         } else if (flag == "--progress") {
-            options.heartbeatSeconds = std::stod(need_value(i));
-            if (options.heartbeatSeconds <= 0.0) {
-                std::fprintf(stderr,
-                             "cachecraft_sweep: --progress wants a "
-                             "positive interval in seconds\n");
-                return 2;
-            }
+            options.heartbeatSeconds = args.decimal(true);
         } else if (flag == "--list-knobs") {
             for (const std::string &knob : campaign::knownKnobs())
                 std::printf("%s\n", knob.c_str());
             return 0;
         } else if (!flag.empty() && flag[0] == '-') {
-            std::fprintf(stderr, "cachecraft_sweep: unknown flag %s\n",
-                         flag.c_str());
-            return 2;
+            args.fail("unknown flag " + flag);
         } else if (spec_path.empty()) {
             spec_path = flag;
         } else {
-            std::fprintf(stderr,
-                         "cachecraft_sweep: unexpected argument %s\n",
-                         flag.c_str());
-            return 2;
+            args.fail("unexpected argument " + flag);
         }
     }
 
@@ -135,21 +111,13 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::ifstream in(spec_path);
-    if (!in) {
-        std::fprintf(stderr, "cachecraft_sweep: cannot read %s\n",
-                     spec_path.c_str());
-        return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
+    const auto text = cli::readFile(spec_path);
+    if (!text)
+        args.fail("cannot read " + spec_path);
     std::string error;
-    auto spec = campaign::parseCampaignSpec(buf.str(), &error);
-    if (!spec) {
-        std::fprintf(stderr, "cachecraft_sweep: %s: %s\n",
-                     spec_path.c_str(), error.c_str());
-        return 2;
-    }
+    auto spec = campaign::parseCampaignSpec(*text, &error);
+    if (!spec)
+        args.fail(spec_path + ": " + error);
 
     if (dry_run) {
         std::printf("campaign %s (%s): %zu points\n",
@@ -164,12 +132,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (options.outDir.empty()) {
-        std::fprintf(stderr,
-                     "cachecraft_sweep: --out DIR is required "
-                     "(or use --dry-run)\n");
-        return 2;
-    }
+    if (options.outDir.empty())
+        args.fail("--out DIR is required (or use --dry-run)");
 
     const campaign::CampaignResult result =
         campaign::runCampaign(*spec, options);

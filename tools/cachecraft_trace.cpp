@@ -31,6 +31,8 @@
 #include "telemetry/critical_path.hpp"
 #include "telemetry/flight_recorder.hpp"
 
+#include "cli.hpp"
+
 using namespace cachecraft;
 
 namespace {
@@ -145,34 +147,26 @@ main(int argc, char **argv)
     std::size_t top_k = 10;
     bool quiet = false;
 
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal(strCat("flag ", argv[i], " needs a value"));
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
+    cli::Args args("cachecraft_trace", 1, argc, argv);
+    while (args.next()) {
+        const std::string flag = args.arg();
         if (flag == "--help" || flag == "-h") {
             usage();
             return 0;
         } else if (flag == "--json") {
-            json_path = need_value(i);
+            json_path = args.value();
         } else if (flag == "--chrome") {
-            chrome_path = need_value(i);
+            chrome_path = args.value();
         } else if (flag == "--top") {
-            top_k = std::stoull(need_value(i));
+            top_k = args.count(false);
         } else if (flag == "--quiet") {
             quiet = true;
         } else if (!flag.empty() && flag[0] == '-') {
-            std::fprintf(stderr, "unknown flag %s (see --help)\n",
-                         flag.c_str());
-            return 1;
+            args.fail("unknown flag " + flag + " (see --help)");
         } else if (dump_path.empty()) {
             dump_path = flag;
         } else {
-            std::fprintf(stderr, "only one dump path allowed\n");
-            return 1;
+            args.fail("only one dump path allowed");
         }
     }
     if (dump_path.empty()) {
