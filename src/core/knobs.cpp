@@ -122,6 +122,14 @@ buildTable()
     using G = KnobGroup;
     constexpr std::uint64_t kKiB = 1024;
     constexpr std::uint64_t kMiB = 1024 * 1024;
+    // Size bounds, far past any modelled GPU, so that a typo is a clean
+    // error instead of an allocation failure. The footprint's trace is
+    // the largest allocation they admit: a streaming kernel holds ~8 B
+    // of trace per byte of data, ~8 GiB at the 1 GiB bound.
+    constexpr std::uint64_t kMaxFootprintMib = 1024;
+    constexpr std::uint64_t kMaxSms = 1024;
+    constexpr std::uint64_t kMaxCacheKib = 64 * 1024; //!< per slice
+    constexpr std::uint64_t kMaxReuseAssoc = 4096;
     Knob gto = entry("gto", G::kSystem, KnobType::kBool, "--gto",
                      "greedy-then-oldest warp scheduling");
     gto.flagValue = "true";
@@ -143,7 +151,7 @@ buildTable()
                   "array footprint in MiB", 1,
                   "must be positive (a whole number of MiB)",
                   [](K t) -> auto & { return t.params.footprintBytes; },
-                  kMiB),
+                  kMiB, kMaxFootprintMib),
         countKnob("warps", G::kWorkload, "--warps", "total warps", 1,
                   "must be positive (a whole number of warps)",
                   [](K t) -> auto & { return t.params.numWarps; }),
@@ -164,15 +172,16 @@ buildTable()
                  [](K t) -> auto & { return t.config.codec; }),
         countKnob("sms", G::kSystem, "--sms", "SM count", 1,
                   "must be positive (a whole number of SMs)",
-                  [](K t) -> auto & { return t.config.numSms; }),
+                  [](K t) -> auto & { return t.config.numSms; }, 1,
+                  kMaxSms),
         countKnob("l2_kib", G::kSystem, "--l2-kib", "L2 KiB per slice", 1,
                   "must be positive (a whole number of KiB)",
                   [](K t) -> auto & { return t.config.l2.cache.sizeBytes; },
-                  kKiB),
+                  kKiB, kMaxCacheKib),
         countKnob("mrc_kib", G::kSystem, "--mrc-kib", "MRC KiB per slice",
                   1, "must be positive (a whole number of KiB)",
                   [](K t) -> auto & { return t.config.mrc.sizeBytes; },
-                  kKiB),
+                  kKiB, kMaxCacheKib),
         boolKnob("chunk_granularity", G::kSystem, "--no-r1", "false",
                  "disable R1, chunk-granularity metadata reconstruction",
                  [](K t) -> auto & { return t.config.mrc.chunkGranularity; }),
@@ -198,8 +207,8 @@ buildTable()
                   [](K t) -> auto & { return tel(t).sampleInterval; },
                   1, kMaxExact),
         boolKnob("profile", G::kTelemetry, "--profile", "true",
-                 "enable the cycle-attribution profiler (stall reasons, "
-                 "occupancy, hot rows; adds a \"profile\" report section)",
+                 "enable the resource profiler (occupancy, hot rows; "
+                 "adds a \"profile\" report section)",
                  [](K t) -> auto & { return tel(t).profileEnabled; }),
         implies(countKnob("profile_interval", G::kTelemetry,
                           "--profile-interval",
@@ -229,7 +238,8 @@ buildTable()
                           "curve bound: miss-ratio points at 1..N ways "
                           "(implies --reuse-profile)",
                           1, "wants a positive associativity",
-                          [](K t) -> auto & { return tel(t).reuseMaxAssoc; }),
+                          [](K t) -> auto & { return tel(t).reuseMaxAssoc; },
+                          1, kMaxReuseAssoc),
                 [](K t) -> auto & { return tel(t).reuseProfileEnabled; }),
         boolKnob("host_profile", G::kTelemetry, "", "",
                  "enable the host wall-clock zone profiler",

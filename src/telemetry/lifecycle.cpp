@@ -16,9 +16,8 @@ toString(Stage stage)
 {
     static constexpr const char *kNames[] = {
         "coalesce",      "mem_inst",       "l2.read",
-        "mrc.probe",     "dram.data.read", "dram.data.write",
-        "dram.ecc.read", "dram.ecc.write", "dram.service",
-        "decode"};
+        "mrc.probe",     "dram.data.read", "dram.ecc.read",
+        "dram.service",  "decode"};
     static_assert(std::size(kNames) ==
                   static_cast<std::size_t>(Stage::kCount));
     return stage < Stage::kCount ? kNames[static_cast<std::size_t>(stage)]
@@ -31,14 +30,13 @@ LifecycleBuilder::consume(const FlightRecord &r,
 {
     const auto span = [&out](Stage stage, std::uint64_t id, Cycle begin,
                              Cycle end, const char *arg_key = nullptr,
-                             double arg_val = 0.0, bool instant = false) {
-        out.push_back(LifecycleSpan{stage, id, begin, end, instant,
-                                    arg_key, arg_val});
+                             double arg_val = 0.0) {
+        out.push_back(LifecycleSpan{stage, id, begin, end, arg_key, arg_val});
     };
 
     switch (static_cast<RecordKind>(r.kind)) {
       case RecordKind::kCoalesce:
-        span(Stage::kCoalesce, r.id, r.at, r.at, "sectors", r.a, true);
+        span(Stage::kCoalesce, r.id, r.at, r.at, "sectors", r.a);
         insts_[static_cast<std::uint32_t>(r.id)] =
             OpenInst{r.id, r.at, r.a};
         break;
@@ -105,7 +103,7 @@ LifecycleBuilder::consume(const FlightRecord &r,
         break;
       }
       case RecordKind::kDecode:
-        span(Stage::kDecode, r.id, r.at, r.at, "status", r.flags, true);
+        span(Stage::kDecode, r.id, r.at, r.at, "status", r.flags);
         break;
       default:
         break;
@@ -163,7 +161,7 @@ writeLifecycleJson(std::ostream &os,
         w.endObject();
     };
     for (const LifecycleSpan &s : lifecycleSpans(records)) {
-        if (s.instant) {
+        if (isInstant(s.stage)) {
             event(s, 'i', s.begin);
         } else {
             event(s, 'b', s.begin);

@@ -44,9 +44,7 @@ enum class Stage : std::uint8_t
     kL2Read,        //!< L2 slice service: queue through response hop
     kMrcProbe,      //!< metadata lookup: probe until field resident
     kDramDataRead,  //!< DRAM data-sector read transaction
-    kDramDataWrite, //!< DRAM data-sector write transaction
     kDramEccRead,   //!< DRAM metadata (redundancy) read transaction
-    kDramEccWrite,  //!< DRAM metadata write transaction
     kDramService,   //!< channel queue entry -> data available
     kDecode,        //!< codec decode/verify outcome (instant)
     kCount,
@@ -55,7 +53,15 @@ enum class Stage : std::uint8_t
 /** Stable span name of a stage (also the histogram stat suffix). */
 const char *toString(Stage stage);
 
-/** One lifecycle span, or an instant marker (begin == end). */
+/** True for the stages recorded as instants (begin == end): they have
+ *  no latency, so no "telemetry.stage.<name>" histogram. */
+constexpr bool
+isInstant(Stage stage)
+{
+    return stage == Stage::kCoalesce || stage == Stage::kDecode;
+}
+
+/** One lifecycle span, or an instant marker (see isInstant()). */
 struct LifecycleSpan
 {
     Stage stage = Stage::kCount;
@@ -63,7 +69,6 @@ struct LifecycleSpan
     std::uint64_t id = 0;
     Cycle begin = 0;
     Cycle end = 0;
-    bool instant = false;
     /** Optional single argument (nullptr = none). */
     const char *argKey = nullptr;
     double argVal = 0.0;

@@ -39,16 +39,17 @@ Telemetry::Telemetry(StatRegistry *stats, const TelemetryOptions &options)
         hostRetained_ = true;
     }
 
+    // Instants never sample their histogram, so only span stages
+    // register one.
     stageHist_.reserve(static_cast<std::size_t>(Stage::kCount));
     for (std::size_t s = 0; s < static_cast<std::size_t>(Stage::kCount);
          ++s) {
+        const auto stage = static_cast<Stage>(s);
         stageHist_.emplace_back(kHistBucketWidth, kHistNumBuckets);
-        if (stats) {
-            stats->registerHistogram(
-                strCat("telemetry.stage.",
-                       toString(static_cast<Stage>(s))),
-                &stageHist_.back());
-        }
+        if (stats && !isInstant(stage))
+            stats->registerHistogram(strCat("telemetry.stage.",
+                                            toString(stage)),
+                                     &stageHist_.back());
     }
 }
 
@@ -74,7 +75,7 @@ Telemetry::sampleStages(const FlightRecord &r)
     // bit-identical at any --shards.
     lifecycle_.consume(r, spanScratch_);
     for (const LifecycleSpan &s : spanScratch_) {
-        if (!s.instant)
+        if (!isInstant(s.stage))
             stageHist_[static_cast<std::size_t>(s.stage)].sample(
                 s.end - s.begin);
     }

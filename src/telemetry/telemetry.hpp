@@ -5,7 +5,7 @@
  * A Telemetry hub is owned by each GpuSystem and handed (as a nullable
  * pointer) to every instrumented component. It owns the optional
  * observers — the flight recorder (the one per-request recording),
- * the cycle-attribution profiler, the reuse-distance profiler, the
+ * the resource profiler, the reuse-distance profiler, the
  * host-profiler reference — and the per-stage latency histograms
  * ("telemetry.stage.<name>"), which the lifecycle view (lifecycle.hpp)
  * fills from the flight records when the lifecycle trace is on.
@@ -45,7 +45,7 @@ struct TelemetryOptions
      * histograms (see lifecycle.hpp).
      */
     bool traceEnabled = false;
-    /** Runtime gate for the cycle-attribution profiler. */
+    /** Runtime gate for the resource profiler. */
     bool profileEnabled = false;
     /**
      * Occupancy-gauge polling interval in cycles for the profiler
@@ -116,9 +116,9 @@ class Telemetry
     const HistogramStat &stageHistogram(Stage stage) const;
 
     /**
-     * The cycle-attribution profiler, or nullptr when profiling is off
-     * (runtime gate) or tracing is compiled out. Hooks are expected to
-     * null-check: `if (auto *p = tel->profiler()) p->chargeStall(...)`.
+     * The resource profiler, or nullptr when profiling is off (runtime
+     * gate) or tracing is compiled out. Hooks are expected to
+     * null-check: `if (auto *p = tel->profiler()) p->recordRowAccess(...)`.
      */
     Profiler *
     profiler() const

@@ -50,9 +50,10 @@ runReportText(const std::string &workload, const std::string &scheme,
              "mrc_coverage": 0.6},)"
        << R"("warnings": [)"
        << (warning.empty() ? "" : "\"" + warning + "\"") << "],"
-       << R"("profile": {"stalls": {
-             "row_miss": {"cycles": 300, "events": 30},
-             "mshr_full": {"cycles": 120, "events": 12}}},)"
+       << R"("critical_path": {"requests": 40,
+             "total_latency_cycles": 420, "metadata_fraction": 0.25,
+             "segments": {"data_fetch": 300, "mrc_wait": 105,
+                          "mshr_wait": 15}},)"
        << R"("epochs": [
              {"epoch": 0, "cycle_start": 0, "cycle_end": 1000,
               "deltas": {"sm0.insts": 40, "dram.ch0.reads": 9}},
@@ -155,7 +156,9 @@ TEST(ReportSetTest, SummarizeExtractsTheDashboardFields)
     EXPECT_DOUBLE_EQ(s->cycles, 5000.0);
     EXPECT_DOUBLE_EQ(s->mrcHitRate, 0.9);
     ASSERT_EQ(s->warnings.size(), 1u);
-    ASSERT_EQ(s->stallCycles.size(), 2u);
+    ASSERT_EQ(s->criticalPathCycles.size(), 3u);
+    EXPECT_EQ(s->criticalPathCycles[1].first, "mrc_wait");
+    EXPECT_DOUBLE_EQ(s->metadataFraction, 0.25);
     ASSERT_EQ(s->instructionEpochs.size(), 2u);
     EXPECT_DOUBLE_EQ(s->instructionEpochs[1].value, 60.0);
     ASSERT_EQ(s->dramEpochs.size(), 2u);
@@ -368,7 +371,10 @@ TEST(DashboardTest, RendersAllSectionsSelfContained)
         renderDashboard(twoRunSet(), DashboardOptions{});
     EXPECT_NE(html.find("<!doctype html>"), std::string::npos);
     EXPECT_NE(html.find("Headline speedup"), std::string::npos);
-    EXPECT_NE(html.find("Stall taxonomy"), std::string::npos);
+    EXPECT_NE(html.find("Critical path"), std::string::npos);
+    // The union-clipped stall taxonomy is gone; the critical path is
+    // the one cycle attribution.
+    EXPECT_EQ(html.find("Stall taxonomy"), std::string::npos);
     EXPECT_NE(html.find("DRAM traffic"), std::string::npos);
     EXPECT_NE(html.find("<polyline"), std::string::npos); // sparkline
     // The warning is present — escaped, never as raw markup.
@@ -397,6 +403,60 @@ TEST(DashboardTest, EmptyTreeStillRenders)
     EXPECT_NE(html.find("<!doctype html>"), std::string::npos);
     EXPECT_NE(html.find("0 run reports"), std::string::npos);
     EXPECT_NE(html.find("No warnings"), std::string::npos);
+}
+
+/** @p text with its "critical_path" section cut out. */
+std::string
+withoutCriticalPath(std::string text)
+{
+    const std::size_t from = text.find("\"critical_path\"");
+    const std::size_t to = text.find("\"epochs\"");
+    text.erase(from, to - from);
+    return text;
+}
+
+TEST(DashboardTest, CriticalPathPanelRendersEverySegmentOfItsRuns)
+{
+    // Only runs with a critical_path section get a bar; each non-zero
+    // segment is a titled bar part and the trailing label is the run's
+    // metadata share.
+    ReportSet set;
+    auto add = [&set](const std::string &path,
+                      const std::string &text) {
+        auto doc = jsonParse(text);
+        ASSERT_TRUE(doc.has_value());
+        set.runs.push_back({path, std::move(*doc)});
+    };
+    add("reports/p000_streaming_no-ecc.json",
+        withoutCriticalPath(runReportText("streaming", "no-ecc", 1000)));
+    add("reports/p001_streaming_cachecraft.json",
+        runReportText("streaming", "cachecraft", 1250));
+    const std::string html = renderDashboard(set, DashboardOptions{});
+    const std::size_t panel = html.find("<h2>Critical path</h2>");
+    ASSERT_NE(panel, std::string::npos);
+    const std::size_t end = html.find("</svg>", panel);
+    ASSERT_NE(end, std::string::npos);
+    const std::string chart = html.substr(panel, end - panel);
+    for (const char *segment : {"data_fetch", "mrc_wait", "mshr_wait"}) {
+        EXPECT_NE(chart.find(std::string("p001_streaming_cachecraft "
+                                         "&#183; ") +
+                             segment + ":"),
+                  std::string::npos)
+            << segment;
+    }
+    EXPECT_EQ(chart.find("p000_streaming_no-ecc"), std::string::npos);
+    EXPECT_EQ(chart.find("meta_fetch"), std::string::npos);
+    EXPECT_NE(chart.find("25.0% meta"), std::string::npos);
+
+    // No run with a critical path: no panel.
+    ReportSet plain;
+    auto doc = jsonParse(
+        withoutCriticalPath(runReportText("gemm", "cachecraft", 900)));
+    ASSERT_TRUE(doc.has_value());
+    plain.runs.push_back({"reports/p.json", std::move(*doc)});
+    EXPECT_EQ(renderDashboard(plain, DashboardOptions{})
+                  .find("<h2>Critical path</h2>"),
+              std::string::npos);
 }
 
 TEST(DashboardTest, CurvePanelsAppearOnlyWhenARunCarriesCurves)

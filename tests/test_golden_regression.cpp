@@ -29,11 +29,13 @@ namespace {
 namespace fs = std::filesystem;
 
 /** Pinned digest of the ci_smoke report tree (see file comment).
- *  Last deliberate refresh: the sharded-engine rework (crossbar
- *  arbitration moved to canonical epoch barriers and store commits to
- *  epoch boundaries — same model, one-time timing re-baseline). */
+ *  Last deliberate refresh: the stall taxonomy was retired (its
+ *  counters and the profile section's "stalls" object left the
+ *  reports) and the never-sampled instant and write stage histograms
+ *  stopped registering — every cycle count and remaining metric is
+ *  unchanged. */
 constexpr const char *kCiSmokeGoldenHash =
-    "a163453cd83010fc81960893128e4a7b749e87fd62e5d6569b505496098c69ca";
+    "a3f23777e6f13faac3f60989057e1df9a2a230e0ae2b221e1bb6b55727de16c2";
 
 std::string
 slurp(const fs::path &path)

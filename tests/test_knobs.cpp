@@ -401,14 +401,15 @@ TEST(Knobs, JsonAndTextFormsAgree)
 TEST(Knobs, CountsRejectOverflowAfterScaling)
 {
     // 2^44 MiB is 2^64 bytes: it used to wrap to a zero footprint.
+    // The size knobs now stop at a real bound well before that.
     Point p;
     std::string error;
     EXPECT_FALSE(applyKnobText(p.target(), "footprint_mib",
                              "17592186044416", &error));
-    EXPECT_EQ(error, "wants at most 17592186044415");
+    EXPECT_EQ(error, "wants at most 1024");
     EXPECT_FALSE(applyKnobText(p.target(), "l2_kib",
                              "18014398509481984", &error));
-    EXPECT_EQ(error, "wants at most 18014398509481983");
+    EXPECT_EQ(error, "wants at most 65536");
     // Unsigned fields stop at their width instead of wrapping to 0.
     EXPECT_FALSE(applyKnobText(p.target(), "warps", "4294967296", &error));
     EXPECT_EQ(error, "wants at most 4294967295");
@@ -422,6 +423,27 @@ TEST(Knobs, CountsRejectOverflowAfterScaling)
     EXPECT_EQ(error, "wants at most 18446744073709551615");
     EXPECT_FALSE(applyKnobText(p.target(), "seed", "-1", &error));
     EXPECT_EQ(error, "wants a non-negative integer");
+}
+
+TEST(Knobs, SizeKnobsStopAtARealBound)
+{
+    // Each size knob takes its bound and nothing past it, so a huge
+    // size fails while parsing instead of in the allocator.
+    const std::pair<const char *, std::uint64_t> bounds[] = {
+        {"footprint_mib", 1024}, {"sms", 1024},   {"l2_kib", 65536},
+        {"mrc_kib", 65536},      {"reuse_max_assoc", 4096}};
+    for (const auto &[name, bound] : bounds) {
+        Point p;
+        std::string error;
+        EXPECT_TRUE(applyKnobText(p.target(), name,
+                                  std::to_string(bound), &error))
+            << name << ": " << error;
+        EXPECT_FALSE(applyKnobText(p.target(), name,
+                                   std::to_string(bound + 1), &error))
+            << name;
+        EXPECT_EQ(error, "wants at most " + std::to_string(bound))
+            << name;
+    }
 }
 
 TEST(Knobs, NamesKeepTheirDiagnostic)

@@ -40,7 +40,7 @@ render(const std::vector<LifecycleSpan> &spans)
     for (const LifecycleSpan &s : spans) {
         std::ostringstream os;
         os << toString(s.stage) << ' ' << s.id << ' ' << s.begin << ' '
-           << s.end << (s.instant ? " i" : "");
+           << s.end << (isInstant(s.stage) ? " i" : "");
         if (s.argKey)
             os << ' ' << s.argKey << '=' << s.argVal;
         out.push_back(os.str());

@@ -379,6 +379,25 @@ TEST_F(TracedRun, StageHistogramsPopulated)
     EXPECT_DOUBLE_EQ(dram.mean(), 828.94791666666663);
 }
 
+TEST_F(TracedRun, EveryRegisteredStageHistogramHoldsSamples)
+{
+    // A registered stage histogram must be able to hold a sample:
+    // instants (coalesce, decode) and posted writes have no latency
+    // span, so they register none. A random CacheCraft run reaches
+    // every span stage (MRC misses force metadata reads).
+    GpuSystem gpu(tracedConfig());
+    gpu.run(makeWorkload(WorkloadKind::kRandomAccess, tinyWorkload()));
+    std::size_t registered = 0;
+    for (const auto &[name, value] : gpu.statsRegistry().flatten()) {
+        if (!name.starts_with("telemetry.stage.") ||
+            !name.ends_with(".count"))
+            continue;
+        ++registered;
+        EXPECT_GT(value, 0.0) << name;
+    }
+    EXPECT_EQ(registered, 6u);
+}
+
 TEST_F(TracedRun, StreamingAndBatchTotalsAgree)
 {
     // The same span definition, run live over the draining ring and
@@ -388,7 +407,7 @@ TEST_F(TracedRun, StreamingAndBatchTotalsAgree)
     std::map<telemetry::Stage, std::pair<std::uint64_t, std::uint64_t>>
         batch;
     for (const auto &s : telemetry::lifecycleSpans(fr->snapshot())) {
-        if (s.instant)
+        if (telemetry::isInstant(s.stage))
             continue;
         batch[s.stage].first += 1;
         batch[s.stage].second += s.end - s.begin;
@@ -473,7 +492,8 @@ TEST_F(TracedRun, RunReportCarriesProfileSection)
     std::string err;
     ASSERT_TRUE(jsonValidate(os.str(), &err)) << err;
     EXPECT_NE(os.str().find("\"profile\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"stalls\""), std::string::npos);
+    EXPECT_NE(os.str().find("\"occupancy\""), std::string::npos);
+    EXPECT_EQ(os.str().find("\"stalls\""), std::string::npos);
     EXPECT_NE(os.str().find("\"hot_rows\""), std::string::npos);
 }
 

@@ -305,19 +305,6 @@ main(int argc, char **argv)
         std::printf("WARNING           %s\n", warning.c_str());
 
     if (const telemetry::Profiler *prof = gpu.telemetry().profiler()) {
-        std::printf("--- stall attribution ---\n");
-        for (std::size_t r = 0;
-             r < static_cast<std::size_t>(
-                     telemetry::StallReason::kCount);
-             ++r) {
-            const auto reason = static_cast<telemetry::StallReason>(r);
-            std::printf("%-24s %llu cycles (%llu events)\n",
-                        telemetry::toString(reason),
-                        static_cast<unsigned long long>(
-                            prof->stallCycles(reason)),
-                        static_cast<unsigned long long>(
-                            prof->stallEvents(reason)));
-        }
         const auto hot = prof->hottestRows();
         if (!hot.empty()) {
             std::printf("hottest row       0x%llx (%llu accesses)\n",
