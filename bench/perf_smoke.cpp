@@ -3,12 +3,13 @@
  * perf_smoke — the deterministic bench subset behind the CI perf gate.
  *
  * Runs a small, fixed grid of (workload, scheme) points — scaled-down
- * versions of the fig_* experiments, seconds not minutes — and emits
- * one JSON document of integer metrics per point. The simulator is a
- * deterministic discrete-event model, so for a given build the output
- * is byte-identical run to run; CI regenerates it and diffs against
- * the committed BENCH_baseline.json with cachecraft_diff, failing the
- * job when any metric moves beyond tolerance.
+ * versions of the paper_claims experiments, seconds not minutes — and
+ * emits one JSON document of integer metrics per point. The simulator
+ * is a deterministic discrete-event model, so for a given build the
+ * output is byte-identical run to run; the perf_gate_baseline ctest
+ * case regenerates it and diffs against the committed
+ * BENCH_baseline.json with cachecraft_diff, failing when any metric
+ * moves beyond tolerance.
  *
  * Only integer counters are emitted (no IPC / hit-rate ratios): they
  * round-trip exactly through the JSON layer on every platform, so a

@@ -125,7 +125,7 @@ parseCampaignSpec(const std::string &text, std::string *error)
                     " points; refusing (limit 100000)");
 
     // Width of the zero-padded index in labels.
-    int digits = 3;
+    std::size_t digits = 3;
     for (std::size_t p = 1000; p <= total; p *= 10)
         ++digits;
 
@@ -146,9 +146,9 @@ parseCampaignSpec(const std::string &text, std::string *error)
             }
         }
 
-        char buf[16];
-        std::snprintf(buf, sizeof buf, "p%0*zu", digits, index);
-        point.label = buf;
+        // index < total, so it has at most `digits` digits.
+        const std::string number = std::to_string(index);
+        point.label = "p" + std::string(digits - number.size(), '0') + number;
         for (std::size_t a = 0; a < axes.size(); ++a) {
             const auto &[knob, axis] = axes[a];
             const JsonValue &value = axis.asArray()[cursor[a]];

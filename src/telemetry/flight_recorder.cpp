@@ -121,6 +121,19 @@ readFlightDump(std::istream &is, FlightDump *out, std::string *error)
     if (h.recordBytes != sizeof(FlightRecord))
         return readFail(error, "flight dump record size mismatch");
 
+    // The header's count sizes nothing until the stream is known to
+    // hold that many records: a corrupt count is a truncated dump, not
+    // a huge allocation.
+    const std::streamoff start = is.tellg();
+    is.seekg(0, std::ios::end);
+    const std::streamoff end = is.tellg();
+    is.seekg(start);
+    if (start < 0 || end < start || !is)
+        return readFail(error, "flight dump stream is not seekable");
+    if (h.count > static_cast<std::uint64_t>(end - start) /
+                      sizeof(FlightRecord))
+        return readFail(error, "truncated flight dump records");
+
     FlightDump dump;
     dump.dropped = h.dropped;
     dump.lastCycle = h.lastCycle;
@@ -135,6 +148,11 @@ readFlightDump(std::istream &is, FlightDump *out, std::string *error)
     for (const FlightRecord &r : dump.records) {
         if (r.kind >= static_cast<std::uint8_t>(RecordKind::kCount))
             return readFail(error, "flight dump has unknown record kind");
+        // The recorder's last cycle is the latest `at` it ever saw.
+        if (r.at > dump.lastCycle)
+            return readFail(error,
+                            "flight dump record lies past the dump's last "
+                            "cycle");
     }
     *out = std::move(dump);
     return true;

@@ -2,8 +2,9 @@
  * @file
  * Structured JSON run reports.
  *
- * Every run of cachecraft_sim (and, via bench_common, every fig_* /
- * table_* harness) can emit one machine-readable artifact combining:
+ * Every run of cachecraft_sim and every campaign point of
+ * cachecraft_sweep (the report trees bench/paper_claims checks) can
+ * emit one machine-readable artifact combining:
  *
  *  - a run manifest: tool, workload, seed, wall time, and the build's
  *    `git describe` string baked in at configure time;

@@ -39,14 +39,15 @@ Telemetry::Telemetry(StatRegistry *stats, const TelemetryOptions &options)
         hostRetained_ = true;
     }
 
-    // Instants never sample their histogram, so only span stages
-    // register one.
+    // Only a traced run samples the stage histograms, and instants
+    // never do, so only span stages of a traced run register one.
+    const bool sampled = kTraceCompiledIn && options_.traceEnabled;
     stageHist_.reserve(static_cast<std::size_t>(Stage::kCount));
     for (std::size_t s = 0; s < static_cast<std::size_t>(Stage::kCount);
          ++s) {
         const auto stage = static_cast<Stage>(s);
         stageHist_.emplace_back(kHistBucketWidth, kHistNumBuckets);
-        if (stats && !isInstant(stage))
+        if (stats && sampled && !isInstant(stage))
             stats->registerHistogram(strCat("telemetry.stage.",
                                             toString(stage)),
                                      &stageHist_.back());

@@ -89,8 +89,9 @@ class Telemetry
 {
   public:
     /**
-     * @param stats registry the per-stage latency histograms register
-     *              with (under "telemetry.stage.<name>"); may be null.
+     * @param stats registry the per-stage latency histograms of a
+     *              traced run register with (under
+     *              "telemetry.stage.<name>"); may be null.
      */
     Telemetry(StatRegistry *stats, const TelemetryOptions &options);
     ~Telemetry(); // out-of-line: ReuseProfiler is incomplete here

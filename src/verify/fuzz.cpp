@@ -582,7 +582,7 @@ fromJson(std::string_view text, FuzzCase *out, std::string *error)
                   error))
         return false;
     // Optional (added after v1 reproducers); absent means serial.
-    if (const JsonValue *shardsV = root.find("shards")) {
+    if (root.find("shards") != nullptr) {
         if (!readU64(root, "shards", &u, error))
             return false;
         c.shards = std::max<unsigned>(1, static_cast<unsigned>(u));

@@ -131,8 +131,8 @@ INSTANTIATE_TEST_SUITE_P(
     Layouts, LayoutSweep,
     ::testing::Values(EccLayout::kNone, EccLayout::kSegregated,
                       EccLayout::kCoLocated),
-    [](const auto &info) {
-        switch (info.param) {
+    [](const auto &param_info) {
+        switch (param_info.param) {
           case EccLayout::kNone:
             return "none";
           case EccLayout::kSegregated:

@@ -88,8 +88,8 @@ TEST_P(CodecContract, TagSupportConsistent)
 
 INSTANTIATE_TEST_SUITE_P(AllCodecs, CodecContract,
                          ::testing::ValuesIn(allCodecs()),
-                         [](const auto &info) {
-                             std::string s = toString(info.param);
+                         [](const auto &param_info) {
+                             std::string s = toString(param_info.param);
                              for (char &c : s)
                                  if (c == '-')
                                      c = '_';

@@ -181,8 +181,8 @@ TEST_P(ReconstructionPreservesGuarantees, CacheCraftMatchesNaive)
 INSTANTIATE_TEST_SUITE_P(
     AllPatterns, ReconstructionPreservesGuarantees,
     ::testing::ValuesIn(allFaultPatterns()),
-    [](const auto &info) {
-        std::string s = toString(info.param);
+    [](const auto &param_info) {
+        std::string s = toString(param_info.param);
         for (char &c : s)
             if (c == '-')
                 c = '_';

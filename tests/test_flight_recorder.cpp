@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -19,14 +20,24 @@
 namespace cachecraft::telemetry {
 namespace {
 
-FlightRecord
-makeRecord(RecordKind kind, std::uint64_t id, Cycle at)
+/** A clean three-record dump, as bytes. */
+std::string
+cleanDump()
 {
-    FlightRecord r;
-    r.kind = static_cast<std::uint8_t>(kind);
-    r.id = id;
-    r.at = at;
-    return r;
+    FlightRecorder fr(8);
+    fr.record(RecordKind::kRequestStart, 1, 100, 0x40);
+    fr.record(RecordKind::kDramXfer, 1, 150, 0x40, 20, 4, kFlagEcc);
+    fr.record(RecordKind::kComplete, 1, 400, 0x40);
+    std::ostringstream out(std::ios::binary);
+    fr.writeBinary(out);
+    return out.str();
+}
+
+/** Overwrite the little-endian u64 at byte @p offset of @p bytes. */
+void
+patchU64(std::string &bytes, std::size_t offset, std::uint64_t value)
+{
+    std::memcpy(bytes.data() + offset, &value, sizeof value);
 }
 
 TEST(FlightRecorder, StartsEmpty)
@@ -127,15 +138,7 @@ TEST(FlightRecorder, KindNamesAreStableAndUnique)
 
 TEST(FlightDump, BinaryRoundTrip)
 {
-    FlightRecorder fr(8);
-    fr.record(RecordKind::kRequestStart, 1, 100, 0x40);
-    fr.record(RecordKind::kDramXfer, 1, 150, 0x40, 20, 4, kFlagEcc);
-    fr.record(RecordKind::kComplete, 1, 400, 0x40);
-
-    std::stringstream buf(std::ios::in | std::ios::out |
-                          std::ios::binary);
-    fr.writeBinary(buf);
-
+    std::stringstream buf(cleanDump(), std::ios::in | std::ios::binary);
     FlightDump dump;
     std::string error;
     ASSERT_TRUE(readFlightDump(buf, &dump, &error)) << error;
@@ -208,6 +211,36 @@ TEST(FlightDump, RejectsTruncatedRecords)
     std::string error;
     EXPECT_FALSE(readFlightDump(cut, &dump, &error));
     EXPECT_FALSE(error.empty());
+}
+
+// The header's record count (bytes 16..23) is checked against the
+// bytes present before anything is allocated: a count of 2^58 is a
+// truncated dump, not a length_error.
+TEST(FlightDump, RejectsCountBeyondStream)
+{
+    std::string bytes = cleanDump();
+    patchU64(bytes, 16, std::uint64_t{1} << 58);
+    std::stringstream buf(bytes, std::ios::in | std::ios::binary);
+    FlightDump dump;
+    std::string error;
+    EXPECT_FALSE(readFlightDump(buf, &dump, &error));
+    EXPECT_EQ(error, "truncated flight dump records");
+    EXPECT_TRUE(dump.records.empty());
+}
+
+// A record whose cycle (bytes 8..15 of the record, after the 40-byte
+// header) lies past the header's last_cycle is corrupt.
+TEST(FlightDump, RejectsRecordPastLastCycle)
+{
+    std::string bytes = cleanDump();
+    patchU64(bytes, 40 + sizeof(FlightRecord) + 8,
+             (std::uint64_t{0x40} << 56) | 150);
+    std::stringstream buf(bytes, std::ios::in | std::ios::binary);
+    FlightDump dump;
+    std::string error;
+    EXPECT_FALSE(readFlightDump(buf, &dump, &error));
+    EXPECT_NE(error.find("past the dump's last cycle"), std::string::npos)
+        << error;
 }
 
 } // namespace

@@ -29,13 +29,12 @@ namespace {
 namespace fs = std::filesystem;
 
 /** Pinned digest of the ci_smoke report tree (see file comment).
- *  Last deliberate refresh: the stall taxonomy was retired (its
- *  counters and the profile section's "stalls" object left the
- *  reports) and the never-sampled instant and write stage histograms
- *  stopped registering — every cycle count and remaining metric is
- *  unchanged. */
+ *  Last deliberate refresh: the telemetry.stage.* histograms register
+ *  only in traced runs, so the untraced ci_smoke reports lost their
+ *  six zero-count histograms (stats and epoch rows) — every cycle
+ *  count and remaining metric is unchanged. */
 constexpr const char *kCiSmokeGoldenHash =
-    "a3f23777e6f13faac3f60989057e1df9a2a230e0ae2b221e1bb6b55727de16c2";
+    "dff2dde2cf91e89e7b2467ec06d7f8edb5ace5e749c729a1d2c252127df7122c";
 
 std::string
 slurp(const fs::path &path)
@@ -73,9 +72,9 @@ runCiSmoke(const fs::path &out_dir, unsigned jobs, unsigned shards = 1)
 TEST(GoldenRegression, CiSmokeReportTreeMatchesPinnedDigest)
 {
     // The pinned tree comes from the default build: ci_smoke enables
-    // the profiler, whose report section (and the telemetry.stage
-    // epoch stats) vanish when tracing is compiled out, so the digest
-    // can only be pinned for one build flavor.
+    // the profiler, whose report section vanishes when tracing is
+    // compiled out, so the digest can only be pinned for one build
+    // flavor.
     if (!telemetry::kTraceCompiledIn)
         GTEST_SKIP() << "tracing compiled out";
     const fs::path base = fs::path(::testing::TempDir()) / "golden_e2e";

@@ -80,8 +80,8 @@ INSTANTIATE_TEST_SUITE_P(
     Schemes, TaggedSchemes,
     ::testing::Values(SchemeKind::kInlineNaive, SchemeKind::kEccCache,
                       SchemeKind::kCacheCraft),
-    [](const auto &info) {
-        std::string s = toString(info.param);
+    [](const auto &param_info) {
+        std::string s = toString(param_info.param);
         for (char &c : s)
             if (c == '-')
                 c = '_';

@@ -603,6 +603,28 @@ TEST(RunWarnings, FlightRingOverflowIsReported)
     EXPECT_GT(dropped->asNumber(), 0.0);
 }
 
+TEST(UntracedRun, ReportCarriesNoStageHistograms)
+{
+    // Only a traced run samples the stage histograms, so a report
+    // without the lifecycle trace (flight recorder on or off) carries
+    // none of their keys, in the stats or in the epoch series.
+    for (bool recorder : {false, true}) {
+        SystemConfig cfg = tracedConfig();
+        cfg.telemetry.traceEnabled = false;
+        cfg.telemetry.flightRecorderEnabled = recorder;
+        GpuSystem gpu(cfg);
+        const RunStats rs = gpu.run(
+            makeWorkload(WorkloadKind::kStreaming, tinyWorkload()));
+        std::ostringstream os;
+        telemetry::writeRunReport(os, telemetry::RunManifest{},
+                                  gpu.config(), rs, gpu.statsRegistry(),
+                                  gpu.sampler());
+        EXPECT_NE(os.str().find("\"epochs\""), std::string::npos);
+        EXPECT_EQ(os.str().find("telemetry.stage."), std::string::npos)
+            << "flight recorder " << recorder;
+    }
+}
+
 TEST(FlightRecorderOverhead, RecordingLeavesReportBytesUntouched)
 {
     if (!telemetry::kTraceCompiledIn)

@@ -63,7 +63,9 @@ TEST_P(TraceRoundTrip, SaveLoadPreservesEverything)
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, TraceRoundTrip, ::testing::ValuesIn(allWorkloads()),
-    [](const auto &info) { return std::string(toString(info.param)); });
+    [](const auto &param_info) {
+        return std::string(toString(param_info.param));
+    });
 
 TEST(TraceIo, HandWrittenTraceParses)
 {
